@@ -295,31 +295,56 @@ def build_parser():
     return parser
 
 
-def _apply_config(args, argv):
-    """Fill args from the --config JSON file; explicit flags win."""
+def _option_actions(parser, command):
+    """The flags of the top-level parser and of ``command``, by dest."""
+    actions = list(parser._actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            actions += action.choices[command]._actions
+    return {a.dest: a for a in actions
+            if a.option_strings and a.dest != "help"}
+
+
+def _config_value(key, action, value):
+    """A config value read as if given on the command line: through the
+    flag's ``type`` and checked against its ``choices``."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key!r} must be a string or a number")
+    try:
+        value = action.type(str(value)) if action.type else str(value)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r}: {value!r} is not one of "
+                         f"{sorted(action.choices)}")
+    return value
+
+
+def _parse_with_config(parser, argv):
+    """Parse ``argv`` with the --config JSON file as flag defaults, so that
+    explicit flags win in every spelling argparse accepts."""
+    args = parser.parse_args(argv)
     if not args.config:
-        return
+        return args
     doc = json.loads(Path(args.config).read_text())
     if not isinstance(doc, dict):
         raise ValueError("--config must hold a JSON object")
+    actions = _option_actions(parser, args.command)
     for key, value in doc.items():
-        if not hasattr(args, key):
+        if key not in actions:
             raise ValueError(f"config key {key!r} is not a known option")
-        flag = "--" + key.replace("_", "-")
-        if flag not in argv:
-            setattr(args, key, value)
+        actions[key].default = _config_value(key, actions[key], value)
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_with_config(parser, argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
-        _apply_config(args, argv)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -185,8 +185,9 @@ def load_citation(nodes_path, edges_path, splits_path=None):
     """Read the canonical nodes/edges/splits files into a Dataset.
 
     The interaction matrix is the 0/1 adjacency divided by the maximum
-    degree.  Malformed rows, duplicate node ids, dangling edge endpoints,
-    and overlapping splits each raise their own error type.
+    degree.  Malformed rows (non-finite features included), duplicate node
+    ids, dangling edge endpoints, and overlapping splits each raise their
+    own error type.
     """
     nodes_path, edges_path = Path(nodes_path), Path(edges_path)
     ids, labels, feats = [], [], []
@@ -222,6 +223,13 @@ def load_citation(nodes_path, edges_path, splits_path=None):
     order = np.argsort(ids)
     X = np.asarray(feats, dtype=float)[order]
     y = np.asarray(labels, dtype=np.int64)[order]
+    # min and max propagate NaN and reach any infinity, and unlike
+    # isfinite(X) they allocate no n x d temporary
+    if not np.isfinite([X.min(initial=0.0), X.max(initial=0.0)]).all():
+        node, col = np.argwhere(~np.isfinite(X))[0]
+        raise MalformedRowError(
+            f"{nodes_path.name}: node {node} feature {cols[2 + col]} is "
+            f"{X[node, col]}, not a finite number")
 
     edges = []
     with Path(edges_path).open() as fh:

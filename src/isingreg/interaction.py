@@ -25,10 +25,16 @@ from .errors import NumericalFailure
 
 _POWER_ITER_MAX = 1000
 _POWER_ITER_TOL = 1e-10
+# largest |A_ij - A_ji| a CSR matrix may have
+_SYMMETRY_TOL = 1e-12
 
 
 class InteractionMatrix:
-    """Immutable symmetric interaction matrix with cached norms."""
+    """Immutable symmetric interaction matrix with cached norms.
+
+    A CSR matrix is checked for symmetry entrywise, to within 1e-12, and
+    rejected with ``ValueError`` otherwise.
+    """
 
     def __init__(self, n, csr=None, block_labels=None, block_value=None):
         if n <= 0:
@@ -42,6 +48,11 @@ class InteractionMatrix:
             if csr.shape != (n, n):
                 raise ValueError("matrix shape does not match node count")
             csr.sum_duplicates()
+            # the Gibbs sampler pushes A_ij * delta into the field of j,
+            # which is the field change only when A_ji = A_ij
+            asym = abs(csr - csr.T)
+            if asym.nnz and asym.max() > _SYMMETRY_TOL:
+                raise ValueError("matrix is not symmetric")
             self._csr = csr
         elif block_labels is not None:
             labels = np.asarray(block_labels, dtype=np.int64)
@@ -103,13 +114,11 @@ class InteractionMatrix:
         return InteractionMatrix(n, csr=adj / max_degree)
 
     @staticmethod
-    def from_dense(matrix, tol=1e-12):
-        """Wrap a dense symmetric array (checked entrywise to ``tol``)."""
+    def from_dense(matrix):
+        """Wrap a dense symmetric array."""
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        if np.max(np.abs(m - m.T), initial=0.0) > tol:
-            raise ValueError("matrix is not symmetric")
         return InteractionMatrix(m.shape[0], csr=sp.csr_matrix(m))
 
     # -- linear maps ---------------------------------------------------

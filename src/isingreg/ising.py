@@ -16,6 +16,7 @@ enters a conditional.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ from .interaction import InteractionMatrix
 ENUMERATION_CAP = 20
 DEFAULT_BURN_IN = 50
 DEFAULT_THIN = 5
+# A CSR flip updates a row up to this length with a scalar loop and a longer
+# row with one numpy slice update, whose fixed cost the long row amortizes.
+_SCALAR_ROW_MAX = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +153,12 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
     its conditional law, i.e. sets it to +1 with probability
     (1 + tanh(beta * local_field_i + h_i)) / 2.  Returns ``count`` states
     of shape (count, n), separated by ``thin`` full sweeps after
-    ``burn_in`` full sweeps.  Deterministic given ``seed``; independent
-    chains run in parallel by seeding chain k with ``seed + k``.
+    ``burn_in`` full sweeps.  Deterministic given ``seed``: site i of a
+    sweep compares the sweep's i-th uniform draw with its probability.
+
+    Cost: O(1) per site visit on block matrices, which keep one running
+    sum per block.  On CSR matrices a visit reads a maintained local field
+    in O(1) and a flip pushes its change along its row, in O(row length).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -164,40 +172,61 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
         sigma = _check_spins(initial, n).astype(np.int64)
     sigma = sigma.astype(np.int64)
 
-    beta, h = model.beta, model.h
+    # the sweeps run on Python scalars: per-site numpy indexing and 0-d
+    # ufunc calls cost several times the arithmetic they do
+    beta, h = model.beta, model.h.tolist()
+    spins = sigma.tolist()
     out = np.empty((count, n), dtype=np.int8)
 
     if model.A._block_labels is not None:
-        labels = model.A._block_labels
+        labels = model.A._block_labels.tolist()
         value = model.A._block_value
         nblocks = len(model.A._block_sizes)
-        block_sum = np.bincount(labels, weights=sigma, minlength=nblocks)
+        block_sum = np.bincount(model.A._block_labels, weights=sigma,
+                                minlength=nblocks).tolist()
 
         def run_sweep():
+            u = rng.random(n).tolist()
             for i in range(n):
                 b = labels[i]
-                field = value * (block_sum[b] - sigma[i])
-                p_plus = 0.5 * (1.0 + np.tanh(beta * field + h[i]))
-                new = 1 if rng.random() < p_plus else -1
-                if new != sigma[i]:
-                    block_sum[b] += new - sigma[i]
-                    sigma[i] = new
+                s = spins[i]
+                field = value * (block_sum[b] - s)
+                p_plus = 0.5 * (1.0 + math.tanh(beta * field + h[i]))
+                new = 1 if u[i] < p_plus else -1
+                if new != s:
+                    block_sum[b] += new - s
+                    spins[i] = new
     else:
         csr = model.A._csr
-        indptr, indices, data = csr.indptr, csr.indices, csr.data
-        g = model.A.local_field(sigma)
-        diag = model.A.diagonal()
+        lengths = np.diff(csr.indptr)
+        scalar = lengths <= _SCALAR_ROW_MAX
+        # list copies of the scalar-updated rows only: a long row is updated
+        # from the arrays, and copying it would cost O(nnz) before a sweep
+        in_scalar = np.repeat(scalar, lengths)
+        indices = csr.indices[in_scalar].tolist()
+        data = csr.data[in_scalar].tolist()
+        offsets = np.concatenate(([0], np.cumsum(lengths * scalar))).tolist()
+        indptr, scalar = csr.indptr.tolist(), scalar.tolist()
+        g_array = model.A.local_field(sigma)
+        g = memoryview(g_array)
+        diag = model.A.diagonal().tolist()
 
         def run_sweep():
+            u = rng.random(n).tolist()
             for i in range(n):
-                p_plus = 0.5 * (1.0 + np.tanh(beta * g[i] + h[i]))
-                new = 1 if rng.random() < p_plus else -1
-                if new != sigma[i]:
-                    delta = new - sigma[i]
-                    sl = slice(indptr[i], indptr[i + 1])
-                    g[indices[sl]] += data[sl] * delta
+                p_plus = 0.5 * (1.0 + math.tanh(beta * g[i] + h[i]))
+                new = 1 if u[i] < p_plus else -1
+                s = spins[i]
+                if new != s:
+                    delta = new - s
+                    if scalar[i]:
+                        for k in range(offsets[i], offsets[i + 1]):
+                            g[indices[k]] += data[k] * delta
+                    else:
+                        sl = slice(indptr[i], indptr[i + 1])
+                        g_array[csr.indices[sl]] += csr.data[sl] * delta
                     g[i] -= diag[i] * delta
-                    sigma[i] = new
+                    spins[i] = new
 
     for _ in range(burn_in):
         run_sweep()
@@ -205,7 +234,7 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
         if k > 0:
             for _ in range(thin):
                 run_sweep()
-        out[k] = sigma
+        out[k] = spins
     return out
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from isingreg import InteractionMatrix, IsingModel
+from isingreg.ising import _check_spins
 
 
 def random_symmetric_matrix(rng, n, zero_diag=True):
@@ -44,3 +45,64 @@ def enumeration_conditional(summary, state_index, i, n):
     else:
         p_plus, p_minus = summary.full_table[flip], summary.full_table[state_index]
     return (p_plus - p_minus) / (p_plus + p_minus)
+
+
+def reference_gibbs_sample(model, count, burn_in=50, thin=5, seed=0,
+                           initial=None):
+    """Reference for ``gibbs_sample``: the same systematic scan with
+    per-site numpy scalars and one ``rng.random()`` call per visit.
+
+    ``gibbs_sample`` runs this arithmetic on Python scalars with each
+    sweep's uniforms drawn at once, and must produce the same bytes.
+    """
+    n = model.n
+    rng = np.random.default_rng(seed)
+    if initial is None:
+        sigma = rng.integers(0, 2, size=n) * 2 - 1
+    else:
+        sigma = _check_spins(initial, n).astype(np.int64)
+    sigma = sigma.astype(np.int64)
+
+    beta, h = model.beta, model.h
+    out = np.empty((count, n), dtype=np.int8)
+
+    if model.A._block_labels is not None:
+        labels = model.A._block_labels
+        value = model.A._block_value
+        nblocks = len(model.A._block_sizes)
+        block_sum = np.bincount(labels, weights=sigma, minlength=nblocks)
+
+        def run_sweep():
+            for i in range(n):
+                b = labels[i]
+                field = value * (block_sum[b] - sigma[i])
+                p_plus = 0.5 * (1.0 + np.tanh(beta * field + h[i]))
+                new = 1 if rng.random() < p_plus else -1
+                if new != sigma[i]:
+                    block_sum[b] += new - sigma[i]
+                    sigma[i] = new
+    else:
+        csr = model.A._csr
+        indptr, indices, data = csr.indptr, csr.indices, csr.data
+        g = model.A.local_field(sigma)
+        diag = model.A.diagonal()
+
+        def run_sweep():
+            for i in range(n):
+                p_plus = 0.5 * (1.0 + np.tanh(beta * g[i] + h[i]))
+                new = 1 if rng.random() < p_plus else -1
+                if new != sigma[i]:
+                    delta = new - sigma[i]
+                    sl = slice(indptr[i], indptr[i + 1])
+                    g[indices[sl]] += data[sl] * delta
+                    g[i] -= diag[i] * delta
+                    sigma[i] = new
+
+    for _ in range(burn_in):
+        run_sweep()
+    for k in range(count):
+        if k > 0:
+            for _ in range(thin):
+                run_sweep()
+        out[k] = sigma
+    return out

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from isingreg.cli import main
+import isingreg
+from isingreg.cli import _parse_with_config, build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -81,6 +83,30 @@ class TestDispatch:
         doc = json.loads((tmp_path / "lower_bound_demo.json").read_text())
         assert doc["n"] == 8 and doc["r"] == 4 and doc["c0"] == 0.2
 
+    @pytest.mark.parametrize("argv", [
+        ["--seed=3"], ["--seed", "3"], ["--se", "3"], ["--se=3"]])
+    def test_explicit_flag_beats_config_in_every_spelling(self, tmp_path,
+                                                          argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "block_r": 2}))
+        args = _parse_with_config(build_parser(), argv + [
+            "--config", str(cfg), "lower-bound-demo", "--block-r=4"])
+        assert args.seed == 3 and args.block_r == 4
+
+    def test_config_values_pass_type_and_choices(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "16", "beta": 1, "matrix": "block"}))
+        args = _parse_with_config(build_parser(),
+                                  ["--config", str(cfg), "sample"])
+        assert args.n == 16 and type(args.n) is int
+        assert args.beta == 1.0 and type(args.beta) is float
+        assert args.matrix == "block"
+        for bad in ({"n": "sixteen"}, {"n": 16.5}, {"matrix": "ring"},
+                    {"n": True}, {"func": "x"}):
+            cfg.write_text(json.dumps(bad))
+            assert run_cli(["--out-dir", tmp_path, "--config", cfg,
+                            "sample"]) == 2
+
 
 class TestExitCodes:
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
@@ -104,15 +130,24 @@ class TestExitCodes:
                         "--nodes", tmp_path / "nope.csv",
                         "--edges", tmp_path / "nope.txt"]) == 2
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.filterwarnings("ignore:overflow")
     def test_numerical_failure_exit_code(self, tmp_path):
-        # an infinite feature makes the objective non-finite at the start
+        # a frozen beta of 1e308 overflows the objective at the start
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("id,label,f1\n0,1,1.0\n1,-1,0.5\n2,1,-0.25\n")
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+        assert run_cli(["--out-dir", tmp_path, "fit",
+                        "--nodes", nodes, "--edges", tmp_path / "edges.txt",
+                        "--model", "linear", "--beta-frozen", "1e308",
+                        "--max-iters", "5"]) == 3
+
+    def test_non_finite_feature_is_config_error(self, tmp_path):
         nodes = tmp_path / "nodes.csv"
         nodes.write_text("id,label,f1\n0,1,1e400\n1,-1,0.5\n2,1,-0.25\n")
         (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
         assert run_cli(["--out-dir", tmp_path, "fit",
                         "--nodes", nodes, "--edges", tmp_path / "edges.txt",
-                        "--model", "linear", "--max-iters", "5"]) == 3
+                        "--model", "linear", "--max-iters", "5"]) == 2
 
     def test_invalid_grid_value(self, tmp_path):
         assert run_cli(["--out-dir", tmp_path, "rate-experiment",
@@ -174,11 +209,18 @@ class TestDeterminism:
 
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
+        # the console script when installed, else ``python -m isingreg``
+        # from this source tree
         exe = shutil.which("isingreg")
+        cmd, env = [exe], None
         if exe is None:
-            pytest.skip("console script not on PATH")
+            src = str(Path(isingreg.__file__).parents[1])
+            path = [src, os.environ.get("PYTHONPATH")]
+            cmd = [sys.executable, "-m", "isingreg"]
+            env = dict(os.environ,
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
         out = subprocess.run(
-            [exe, "--out-dir", str(tmp_path), "lower-bound-demo", "--n", "8",
-             "--block-r", "2"], capture_output=True, text=True)
+            cmd + ["--out-dir", str(tmp_path), "lower-bound-demo", "--n", "8",
+                   "--block-r", "2"], capture_output=True, text=True, env=env)
         assert out.returncode == 0
         assert "lecam_floor" in out.stdout

@@ -145,6 +145,14 @@ class TestCitationFormat:
         with pytest.raises(MalformedRowError):
             load_citation(nodes, tmp_path / "edges.txt")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_feature_rejected(self, tmp_path, cell):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text(f"id,label,f1,f2\n1,0,1.0,2.0\n0,1,0.5,{cell}\n")
+        (tmp_path / "edges.txt").write_text("0 1\n")
+        with pytest.raises(MalformedRowError, match="node 0 feature f2"):
+            load_citation(nodes, tmp_path / "edges.txt")
+
     def test_duplicate_ids(self, tmp_path):
         nodes = tmp_path / "nodes.csv"
         nodes.write_text("id,label,f1\n0,0,1.0\n0,1,2.0\n")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from isingreg import InteractionMatrix
@@ -161,6 +162,13 @@ class TestSymmetryAndStorage:
     def test_from_dense_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             InteractionMatrix.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    def test_csr_constructor_rejects_asymmetric(self):
+        single = sp.csr_matrix(([1.0], ([0], [1])), shape=(3, 3))
+        with pytest.raises(ValueError, match="not symmetric"):
+            InteractionMatrix(3, csr=single)
+        near = np.array([[0.0, 0.5], [0.5 + 1e-14, 0.0]])
+        assert InteractionMatrix(2, csr=near).infinity == pytest.approx(0.5)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_entrywise_symmetry(self, seed):

@@ -4,9 +4,12 @@ import pytest
 from isingreg import (InteractionMatrix, IsingModel, conditional_mean,
                       exact_summary, gibbs_sample)
 from isingreg.errors import EnumerationCapError
-from isingreg.ising import parse_spins, serialize_spins, sweep_distribution
+from isingreg.interaction import from_weighted_edges
+from isingreg.ising import (_SCALAR_ROW_MAX, parse_spins, serialize_spins,
+                            sweep_distribution)
 
-from helpers import enumeration_conditional, random_model, random_spins
+from helpers import (enumeration_conditional, random_graph_matrix,
+                     random_model, random_spins, reference_gibbs_sample)
 
 
 def two_spin_model(beta, h=(0.0, 0.0)):
@@ -144,6 +147,58 @@ class TestGibbs:
             gibbs_sample(model, 0)
         with pytest.raises(ValueError):
             gibbs_sample(model, 1, thin=0)
+
+
+def _weighted_edges_matrix(rng, n=50):
+    pairs = rng.integers(0, n, size=(120, 2))
+    edges = [(int(i), int(j), float(w)) for (i, j), w in
+             zip(pairs, rng.uniform(-0.1, 0.1, size=120)) if i != j]
+    return from_weighted_edges(edges, n)
+
+
+def _hub_matrix(rng, n=90):
+    """Nonzero diagonal, one hub row wider than the scalar-update cutoff
+    and short rows elsewhere, so a sweep runs both CSR update paths."""
+    m = np.zeros((n, n))
+    rows, cols = rng.integers(0, n, size=(2, 2 * n))
+    m[rows, cols] = rng.normal(size=2 * n)
+    m[0, :] = rng.normal(size=n)
+    m = m + m.T
+    np.fill_diagonal(m, rng.uniform(0.1, 0.5, size=n))
+    m /= np.abs(m).sum(axis=1).max()
+    A = InteractionMatrix.from_dense(m)
+    lengths = np.diff(A._csr.indptr)
+    assert lengths.max() > _SCALAR_ROW_MAX >= lengths.min()
+    return A
+
+
+REFERENCE_MATRICES = {
+    "block_r1": lambda rng: InteractionMatrix.curie_weiss(60),
+    "block_r4": lambda rng: InteractionMatrix.block_partition(60, 4),
+    "adjacency": lambda rng: random_graph_matrix(rng, 40, p=0.1),
+    "weighted_edges": _weighted_edges_matrix,
+    "dense_hub_diagonal": _hub_matrix,
+}
+
+
+class TestGibbsMatchesReference:
+    """Byte identity with the per-site numpy reference in ``helpers``."""
+
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_MATRICES))
+    @pytest.mark.parametrize("run", ["single", "initial", "thinned"])
+    def test_byte_identical(self, kind, run):
+        rng = np.random.default_rng(31)
+        A = REFERENCE_MATRICES[kind](rng)
+        model = IsingModel(A, rng.uniform(-0.5, 0.5, size=A.n), 0.8)
+        kwargs = {
+            "single": dict(count=1, burn_in=10),
+            "initial": dict(count=1, burn_in=3,
+                            initial=random_spins(rng, A.n)),
+            "thinned": dict(count=4, burn_in=5, thin=3),
+        }[run]
+        got = gibbs_sample(model, seed=7, **kwargs)
+        want = reference_gibbs_sample(model, seed=7, **kwargs)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSweepStationarity:
