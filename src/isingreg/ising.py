@@ -28,9 +28,6 @@ from .interaction import InteractionMatrix
 ENUMERATION_CAP = 20
 DEFAULT_BURN_IN = 50
 DEFAULT_THIN = 5
-# A CSR flip updates a row up to this length with a scalar loop and a longer
-# row with one numpy slice update, whose fixed cost the long row amortizes.
-_SCALAR_ROW_MAX = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,17 +195,9 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
                     spins[i] = new
     else:
         csr = model.A._csr
-        lengths = np.diff(csr.indptr)
-        scalar = lengths <= _SCALAR_ROW_MAX
-        # list copies of the scalar-updated rows only: a long row is updated
-        # from the arrays, and copying it would cost O(nnz) before a sweep
-        in_scalar = np.repeat(scalar, lengths)
-        indices = csr.indices[in_scalar].tolist()
-        data = csr.data[in_scalar].tolist()
-        offsets = np.concatenate(([0], np.cumsum(lengths * scalar))).tolist()
-        indptr, scalar = csr.indptr.tolist(), scalar.tolist()
-        g_array = model.A.local_field(sigma)
-        g = memoryview(g_array)
+        indptr = csr.indptr.tolist()
+        indices, data = csr.indices.tolist(), csr.data.tolist()
+        g = memoryview(model.A.local_field(sigma))
         diag = model.A.diagonal().tolist()
 
         def run_sweep():
@@ -219,12 +208,8 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
                 s = spins[i]
                 if new != s:
                     delta = new - s
-                    if scalar[i]:
-                        for k in range(offsets[i], offsets[i + 1]):
-                            g[indices[k]] += data[k] * delta
-                    else:
-                        sl = slice(indptr[i], indptr[i + 1])
-                        g_array[csr.indices[sl]] += csr.data[sl] * delta
+                    for k in range(indptr[i], indptr[i + 1]):
+                        g[indices[k]] += data[k] * delta
                     g[i] -= diag[i] * delta
                     spins[i] = new
 

@@ -5,8 +5,7 @@ from isingreg import (InteractionMatrix, IsingModel, conditional_mean,
                       exact_summary, gibbs_sample)
 from isingreg.errors import EnumerationCapError
 from isingreg.interaction import from_weighted_edges
-from isingreg.ising import (_SCALAR_ROW_MAX, parse_spins, serialize_spins,
-                            sweep_distribution)
+from isingreg.ising import parse_spins, serialize_spins, sweep_distribution
 
 from helpers import (enumeration_conditional, random_graph_matrix,
                      random_model, random_spins, reference_gibbs_sample)
@@ -157,8 +156,8 @@ def _weighted_edges_matrix(rng, n=50):
 
 
 def _hub_matrix(rng, n=90):
-    """Nonzero diagonal, one hub row wider than the scalar-update cutoff
-    and short rows elsewhere, so a sweep runs both CSR update paths."""
+    """Nonzero diagonal, so a flip runs the diagonal correction, and one
+    full hub row among short rows."""
     m = np.zeros((n, n))
     rows, cols = rng.integers(0, n, size=(2, 2 * n))
     m[rows, cols] = rng.normal(size=2 * n)
@@ -166,10 +165,7 @@ def _hub_matrix(rng, n=90):
     m = m + m.T
     np.fill_diagonal(m, rng.uniform(0.1, 0.5, size=n))
     m /= np.abs(m).sum(axis=1).max()
-    A = InteractionMatrix.from_dense(m)
-    lengths = np.diff(A._csr.indptr)
-    assert lengths.max() > _SCALAR_ROW_MAX >= lengths.min()
-    return A
+    return InteractionMatrix.from_dense(m)
 
 
 REFERENCE_MATRICES = {
