@@ -89,15 +89,17 @@ def cmd_fit(args):
     if binary:
         problem = PLProblem(ds.A, ds.X, ds.labels.astype(float), maker(1),
                             beta_box=args.beta_box)
-        res = fit(problem, beta_frozen=args.beta_frozen, tol=args.tol,
-                  max_iters=args.max_iters)
+        fitter = fit
     else:
         if args.classes and args.classes != k:
             raise ValueError(f"--classes {args.classes} but data has {k}")
         problem = PottsProblem(k, ds.A, ds.X, ds.labels, maker(k),
                                beta_box=args.beta_box)
-        res = fit_potts(problem, beta_frozen=args.beta_frozen, tol=args.tol,
-                        max_iters=args.max_iters)
+        fitter = fit_potts
+    # start from the model's own initial weights: all-zero for the linear
+    # kinds, Glorot for mlp (all-zero weights are a stationary point there)
+    res = fitter(problem, beta_frozen=args.beta_frozen, tol=args.tol,
+                 max_iters=args.max_iters, theta0=problem.model.flatten())
     path = out / "fit.json"
     path.write_text(res.to_json() + "\n")
     print(f"beta_hat={res.beta_hat:.6f} objective={res.objective_value:.6f} "

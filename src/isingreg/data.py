@@ -209,7 +209,7 @@ def load_citation(nodes_path, edges_path, splits_path=None):
             try:
                 ids.append(int(parts[0]))
                 labels.append(int(parts[1]))
-                feats.append([float(v) for v in parts[2:]])
+                feats.append(np.array(parts[2:], dtype=float))
             except ValueError as exc:
                 raise MalformedRowError(
                     f"{nodes_path.name}:{line_no}: {exc}") from exc
@@ -220,9 +220,11 @@ def load_citation(nodes_path, edges_path, splits_path=None):
     if sorted(ids) != list(range(n)):
         raise MalformedRowError("node ids must be exactly 0..n-1")
 
-    order = np.argsort(ids)
-    X = np.asarray(feats, dtype=float)[order]
-    y = np.asarray(labels, dtype=np.int64)[order]
+    X = np.empty((n, d))
+    for node, row in zip(ids, feats):
+        X[node] = row
+    del feats  # the row arrays would otherwise live through edge parsing
+    y = np.asarray(labels, dtype=np.int64)[np.argsort(ids)]
     # min and max propagate NaN and reach any infinity, and unlike
     # isfinite(X) they allocate no n x d temporary
     if not np.isfinite([X.min(initial=0.0), X.max(initial=0.0)]).all():

@@ -48,6 +48,11 @@ class PottsProblem:
     ``sites`` are the indices whose conditionals enter the objective;
     ``known`` are the indices whose labels feed neighbor counts.  Both
     default to all nodes (the fully observed synthetic setting).
+
+    The rows of X, counts and labels at ``sites`` are copied once here,
+    so an objective evaluation costs one pass of the field model over
+    ``len(sites)`` rows, whatever n is; a problem over every node holds
+    a second copy of X.
     """
 
     K: int
@@ -78,6 +83,11 @@ class PottsProblem:
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "known", known)
         object.__setattr__(self, "_counts", self._neighbor_counts())
+        object.__setattr__(self, "_site_X", X[sites])
+        object.__setattr__(self, "_site_counts", self._counts[sites])
+        object.__setattr__(self, "_site_y", y[sites])
+        object.__setattr__(self, "_site_one_hot",
+                           one_hot(self._site_y, self.K))
 
     def _neighbor_counts(self):
         """(n, K) matrix of known-neighbor label counts, self excluded."""
@@ -106,18 +116,19 @@ def potts_conditional(problem, theta_flat, beta, i):
 
 def potts_objective_grad(problem, theta_flat, beta):
     """Negative log pseudo-likelihood over ``problem.sites`` and its
-    gradients, by the softmax chain rule."""
-    model = problem.model.with_flat(np.asarray(theta_flat, dtype=float))
-    z = model.eval(problem.X) + beta * problem.counts
-    sites = problem.sites
-    log_p = log_softmax_rows(z[sites])
-    y_s = problem.y[sites]
-    value = float(-log_p[np.arange(len(sites)), y_s].sum())
+    gradients, by the softmax chain rule.
 
-    upstream = np.zeros_like(z)
-    upstream[sites] = softmax_rows(z[sites]) - one_hot(y_s, problem.K)
-    grad_theta = model.flatten_grad(model.param_grad(problem.X, upstream))
-    grad_beta = float(np.sum(upstream[sites] * problem.counts[sites]))
+    Reads only the cached ``sites`` rows: one evaluation and one pullback
+    of the field model over ``len(sites)`` rows, none over the rest of X.
+    """
+    model = problem.model.with_flat(np.asarray(theta_flat, dtype=float))
+    z = model.eval(problem._site_X) + beta * problem._site_counts
+    log_p = log_softmax_rows(z)
+    value = float(-log_p[np.arange(len(z)), problem._site_y].sum())
+
+    upstream = softmax_rows(z) - problem._site_one_hot
+    grad_theta = model.flatten_grad(model.param_grad(problem._site_X, upstream))
+    grad_beta = float(np.sum(upstream * problem._site_counts))
     return value, grad_theta, grad_beta
 
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from isingreg import InteractionMatrix, IsingModel
 from isingreg.ising import _check_spins
+from isingreg.potts import log_softmax_rows, one_hot, softmax_rows
 
 
 def random_symmetric_matrix(rng, n, zero_diag=True):
@@ -106,3 +107,25 @@ def reference_gibbs_sample(model, count, burn_in=50, thin=5, seed=0,
                 run_sweep()
         out[k] = sigma
     return out
+
+
+def reference_potts_objective_grad(problem, theta_flat, beta):
+    """Reference for ``potts_objective_grad``: the field model over all n
+    rows of X, with the rows outside ``problem.sites`` zeroed before the
+    pullback.
+
+    ``potts_objective_grad`` evaluates only the ``sites`` rows; it sums the
+    same terms in another order and must agree to rounding.
+    """
+    model = problem.model.with_flat(np.asarray(theta_flat, dtype=float))
+    z = model.eval(problem.X) + beta * problem.counts
+    sites = problem.sites
+    log_p = log_softmax_rows(z[sites])
+    y_s = problem.y[sites]
+    value = float(-log_p[np.arange(len(sites)), y_s].sum())
+
+    upstream = np.zeros_like(z)
+    upstream[sites] = softmax_rows(z[sites]) - one_hot(y_s, problem.K)
+    grad_theta = model.flatten_grad(model.param_grad(problem.X, upstream))
+    grad_beta = float(np.sum(upstream[sites] * problem.counts[sites]))
+    return value, grad_theta, grad_beta

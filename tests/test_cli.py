@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isingreg
@@ -56,6 +57,24 @@ class TestDispatch:
         assert code == 0
         doc = json.loads((tmp_path / "fit.json").read_text())
         assert doc["beta_hat"] == 0.0
+
+    def test_fit_mlp_moves_off_glorot_init(self, tmp_path):
+        code = run_cli(["--seed", "4", "--out-dir", tmp_path, "fit",
+                        "--nodes", FIXTURES / "toy_nodes.csv",
+                        "--edges", FIXTURES / "toy_edges.txt",
+                        "--model", "mlp", "--width", "8",
+                        "--max-iters", "60"])
+        assert code == 0
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        assert np.any(np.asarray(doc["theta_hat"]["W1"]) != 0)
+        ds = isingreg.load_citation(FIXTURES / "toy_nodes.csv",
+                                    FIXTURES / "toy_edges.txt")
+        init = isingreg.FunctionClassModel.mlp2(4, n_outputs=3, width=8,
+                                                seed=4)
+        problem = isingreg.PottsProblem(3, ds.A, ds.X, ds.labels, init)
+        at_init, _, _ = isingreg.potts_objective_grad(
+            problem, init.flatten(), 0.0)
+        assert doc["objective_value"] < at_init
 
     def test_diagnose_report_schema(self, tmp_path):
         code = run_cli(["--out-dir", tmp_path, "diagnose",

@@ -1,11 +1,14 @@
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from isingreg import (InteractionMatrix, IsingModel, exact_summary,
                       gen_synthetic, load_citation, make_splits, save_citation)
-from isingreg.data import validate_splits
+from isingreg.data import Dataset, validate_splits
 from isingreg.errors import (DanglingEdgeError, DuplicateIdError,
                              MalformedRowError, SplitError)
 
@@ -144,6 +147,38 @@ class TestCitationFormat:
         (tmp_path / "edges.txt").write_text("0 1\n")
         with pytest.raises(MalformedRowError):
             load_citation(nodes, tmp_path / "edges.txt")
+
+    @pytest.mark.parametrize("row", ["1,0,abc", "1,0,", "1,0,0x1", "1,0",
+                                     "1,0,1.0,2.0"])
+    def test_bad_cell_or_row_length(self, tmp_path, row):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text(f"id,label,f1\n0,0,1.0\n{row}\n")
+        (tmp_path / "edges.txt").write_text("0 1\n")
+        with pytest.raises(MalformedRowError, match="nodes.csv:3: "):
+            load_citation(nodes, tmp_path / "edges.txt")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_shuffled_ids_roundtrip_matches_per_cell_float(self, data):
+        n = data.draw(st.integers(2, 8))
+        d = data.draw(st.integers(1, 5))
+        X = data.draw(arrays(float, (n, d), elements=st.floats(
+            allow_nan=False, allow_infinity=False)))
+        order = data.draw(st.permutations(range(n)))
+        ds = Dataset(X=X, labels=np.arange(n) % 3, A=None,
+                     edges=[(i, i + 1) for i in range(n - 1)])
+        with tempfile.TemporaryDirectory() as tmp:
+            nodes, edges = Path(tmp) / "nodes.csv", Path(tmp) / "edges.txt"
+            save_citation(ds, nodes, edges)
+            header, *rows = nodes.read_text().splitlines()
+            nodes.write_text("\n".join([header] + [rows[i] for i in order])
+                             + "\n")
+            loaded = load_citation(nodes, edges)
+        cells = {int(r.split(",")[0]): [float(v) for v in r.split(",")[2:]]
+                 for r in rows}
+        want = np.array([cells[i] for i in range(n)])
+        assert loaded.X.tobytes() == want.tobytes() == X.tobytes()
+        np.testing.assert_array_equal(loaded.labels, ds.labels)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_feature_rejected(self, tmp_path, cell):

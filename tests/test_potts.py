@@ -7,15 +7,51 @@ from isingreg import (FunctionClassModel, InteractionMatrix, IsingModel,
                       gibbs_sample, gibbs_sample_potts, potts_conditional,
                       potts_objective_grad, predict_class)
 
-from helpers import random_graph_matrix, random_symmetric_matrix
+from helpers import (random_graph_matrix, random_symmetric_matrix,
+                     reference_potts_objective_grad)
 
 
-def small_problem(rng, n=8, d=2, K=3, graph=True, **kw):
+def small_problem(rng, n=8, d=2, K=3, graph=True, kind="linear", **kw):
     A = random_graph_matrix(rng, n) if graph else random_symmetric_matrix(rng, n)
     X = rng.normal(size=(n, d))
     y = rng.integers(0, K, size=n)
-    model = FunctionClassModel.linear(d, n_outputs=K, l2_radius=None)
+    model = (FunctionClassModel.linear(d, n_outputs=K, l2_radius=None)
+             if kind == "linear"
+             else FunctionClassModel.mlp2(d, n_outputs=K, width=5, seed=1))
     return PottsProblem(K, A, X, y, model, beta_box=1.0, **kw)
+
+
+def finite_difference_gradient(prob, flat, beta, eps=1e-5):
+    """Central differences of the objective in theta and beta."""
+    num = np.zeros_like(flat)
+    for k in range(flat.size):
+        e = np.zeros_like(flat)
+        e[k] = eps
+        num[k] = (potts_objective_grad(prob, flat + e, beta)[0]
+                  - potts_objective_grad(prob, flat - e, beta)[0]) / (2 * eps)
+    num_b = (potts_objective_grad(prob, flat, beta + eps)[0]
+             - potts_objective_grad(prob, flat, beta - eps)[0]) / (2 * eps)
+    return np.concatenate([num, [num_b]])
+
+
+def spy_rows(monkeypatch, *methods):
+    """Record the row count of X at each call of the named
+    FunctionClassModel methods."""
+    rows = []
+    for name in methods:
+        def spy(self, X, *rest, _original=getattr(FunctionClassModel, name)):
+            rows.append(len(X))
+            return _original(self, X, *rest)
+        monkeypatch.setattr(FunctionClassModel, name, spy)
+    return rows
+
+
+# (sites, known) pairs for a 12-node problem
+SITE_CASES = {
+    "sites_ne_known": ([1, 4, 6, 9], [0, 1, 2, 5, 7, 11]),
+    "unsorted_sites": ([7, 2, 10, 0, 5], [2, 3, 11, 0]),
+    "single_site": ([3], None),
+}
 
 
 class TestConditional:
@@ -79,17 +115,22 @@ class TestObjective:
         flat = rng.normal(size=prob.model.flatten().size) * 0.5
         beta = float(rng.uniform(-0.9, 0.9))
         _, g_th, g_b = potts_objective_grad(prob, flat, beta)
-        eps = 1e-5
-        num = np.zeros_like(flat)
-        for k in range(flat.size):
-            e = np.zeros_like(flat)
-            e[k] = eps
-            num[k] = (potts_objective_grad(prob, flat + e, beta)[0]
-                      - potts_objective_grad(prob, flat - e, beta)[0]) / (2 * eps)
-        num_b = (potts_objective_grad(prob, flat, beta + eps)[0]
-                 - potts_objective_grad(prob, flat, beta - eps)[0]) / (2 * eps)
         got = np.concatenate([g_th, [g_b]])
-        want = np.concatenate([num, [num_b]])
+        want = finite_difference_gradient(prob, flat, beta)
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_finite_difference_gradients_site_restricted_mlp2(self, seed):
+        rng = np.random.default_rng(seed + 20)
+        sites, known = SITE_CASES["unsorted_sites"]
+        prob = small_problem(rng, n=12, d=3, K=4, kind="mlp2",
+                             sites=sites, known=known)
+        flat = prob.model.flatten()
+        flat = flat + 0.3 * rng.normal(size=flat.size)
+        beta = float(rng.uniform(-0.9, 0.9))
+        _, g_th, g_b = potts_objective_grad(prob, flat, beta)
+        got = np.concatenate([g_th, [g_b]])
+        want = finite_difference_gradient(prob, flat, beta)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
 
     def test_per_node_constant_shift_invariance(self):
@@ -133,6 +174,38 @@ class TestObjective:
         v_full = potts_objective_grad(full, flat, 0.2)[0]
         v_sub = potts_objective_grad(sub, flat, 0.2)[0]
         assert v_sub < v_full
+
+
+class TestObjectiveMatchesReference:
+    """The site-restricted objective against the full-n reference."""
+
+    @pytest.mark.parametrize("case", SITE_CASES)
+    @pytest.mark.parametrize("kind", ["linear", "mlp2"])
+    def test_value_and_gradient_agree(self, kind, case):
+        rng = np.random.default_rng(31)
+        sites, known = SITE_CASES[case]
+        prob = small_problem(rng, n=12, d=3, K=4, kind=kind,
+                             sites=sites, known=known)
+        for _ in range(5):
+            flat = rng.normal(size=prob.model.flatten().size)
+            beta = float(rng.uniform(-1, 1))
+            v, g_th, g_b = potts_objective_grad(prob, flat, beta)
+            v_ref, g_th_ref, g_b_ref = reference_potts_objective_grad(
+                prob, flat, beta)
+            assert v == pytest.approx(v_ref, rel=1e-12)
+            np.testing.assert_allclose(
+                g_th, g_th_ref, rtol=1e-12,
+                atol=1e-12 * np.abs(g_th_ref).max())
+            assert g_b == pytest.approx(g_b_ref, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp2"])
+    def test_field_model_sees_only_site_rows(self, kind, monkeypatch):
+        rng = np.random.default_rng(32)
+        sites = [40, 3, 17, 25, 8]
+        prob = small_problem(rng, n=50, d=3, K=4, kind=kind, sites=sites)
+        rows = spy_rows(monkeypatch, "eval", "param_grad")
+        potts_objective_grad(prob, prob.model.flatten(), 0.3)
+        assert rows and all(r == len(sites) for r in rows)
 
 
 class TestSampler:
