@@ -22,7 +22,7 @@ OUT = "demos_out/benchmark"
 
 def main():
     ds = planted_potts_dataset(n=200, K=3, seed=0, beta_star=0.5)
-    agree = np.mean([ds.labels[i] == ds.labels[j] for i, j in ds.edges])
+    agree = np.mean([ds.labels[i] == ds.labels[j] for i, j, _ in ds.edges])
     print(f"planted dataset: 200 nodes, {len(ds.edges)} edges, "
           f"neighbor agreement {agree:.2f}")
     table = accuracy_benchmark(ds, seeds=list(range(10)))

@@ -19,7 +19,8 @@ import numpy as np
 from . import diagnostics, harness
 from .data import load_citation, make_splits
 from .errors import DataFormatError, NumericalFailure
-from .interaction import InteractionMatrix
+from .interaction import (InteractionMatrix, from_weighted_edges,
+                          read_edge_list)
 from .ising import IsingModel, gibbs_sample, serialize_spins
 from .models import FunctionClassModel
 from .mple import PLProblem, fit
@@ -48,9 +49,10 @@ def _matrix_from_args(args, n):
     if args.matrix == "curie-weiss":
         return InteractionMatrix.curie_weiss(n)
     if args.matrix == "edges":
-        from .interaction import from_weighted_edges, read_edge_list
-        edges = read_edge_list(Path(args.edge_file).read_text().splitlines())
-        return from_weighted_edges(edges, n)
+        if args.edge_file is None:
+            raise ValueError("--matrix edges needs --edge-file")
+        with Path(args.edge_file).open() as fh:
+            return from_weighted_edges(read_edge_list(fh), n)
     raise ValueError(f"unknown matrix kind {args.matrix!r}")
 
 

@@ -3,7 +3,9 @@
 Canonical on-disk format (all 0-indexed UTF-8):
 
 * ``nodes.csv``   header ``id,label,f1,...,fd``; one row per node,
-* ``edges.txt``   one ``i j`` pair per line (undirected, no self-loops),
+* ``edges.txt``   one ``i j [weight]`` per line (undirected, no self-loops,
+  weight 1 when omitted); a pair listed twice, in either order, counts
+  once,
 * ``splits.json`` ``{"train": [...], "val": [...], "test": [...]}``.
 """
 
@@ -16,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DanglingEdgeError, DuplicateIdError, MalformedRowError,
-                     SplitError)
-from .interaction import InteractionMatrix
+from .errors import DuplicateIdError, MalformedRowError, SplitError
+from .interaction import (InteractionMatrix, from_weighted_edges,
+                          read_edge_list, write_edge_list)
 from .ising import IsingModel, gibbs_sample
 
 DEFAULT_FIELD_BOUND = 5.0
@@ -27,7 +29,12 @@ MAX_CLIP_FRACTION = 0.10
 
 @dataclass(eq=False)
 class Dataset:
-    """Features, labels, dependency structure, splits, optional truth."""
+    """Features, labels, dependency structure, splits, optional truth.
+
+    ``edges``, when present, holds the (i, j, weight) rows A was built
+    from, in the shape ``read_edge_list`` returns and ``write_edge_list``
+    writes.
+    """
 
     X: np.ndarray
     labels: np.ndarray
@@ -184,10 +191,12 @@ def validate_splits(splits, n):
 def load_citation(nodes_path, edges_path, splits_path=None):
     """Read the canonical nodes/edges/splits files into a Dataset.
 
-    The interaction matrix is the 0/1 adjacency divided by the maximum
-    degree.  Malformed rows (non-finite features included), duplicate node
-    ids, dangling edge endpoints, and overlapping splits each raise their
-    own error type.
+    The edge file is read by ``read_edge_list`` and the interaction matrix
+    built by ``from_weighted_edges``, as for every other edge file: it is
+    divided by its largest absolute row sum, the maximum degree for
+    unweighted edges.  Malformed rows (non-finite features and weights
+    included), duplicate node ids, dangling edge endpoints, and
+    overlapping splits each raise their own error type.
     """
     nodes_path, edges_path = Path(nodes_path), Path(edges_path)
     ids, labels, feats = [], [], []
@@ -233,28 +242,9 @@ def load_citation(nodes_path, edges_path, splits_path=None):
             f"{nodes_path.name}: node {node} feature {cols[2 + col]} is "
             f"{X[node, col]}, not a finite number")
 
-    edges = []
     with Path(edges_path).open() as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise MalformedRowError(
-                    f"{edges_path.name}:{line_no}: expected 'i j', got {raw!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise MalformedRowError(
-                    f"{edges_path.name}:{line_no}: {exc}") from exc
-            if not (0 <= i < n and 0 <= j < n):
-                raise DanglingEdgeError(
-                    f"{edges_path.name}:{line_no}: edge ({i},{j}) references "
-                    f"a node outside 0..{n - 1}")
-            edges.append((i, j))
-
-    A = InteractionMatrix.from_adjacency(edges, n)
+        edges = read_edge_list(fh)
+    A = from_weighted_edges(edges, n)
 
     splits = {}
     if splits_path is not None:
@@ -277,8 +267,7 @@ def save_citation(dataset, nodes_path, edges_path, splits_path=None):
 
     if dataset.edges is None:
         raise ValueError("dataset carries no edge list to save")
-    edge_lines = [f"{i} {j}" for i, j in dataset.edges]
-    Path(edges_path).write_text("\n".join(edge_lines) + "\n")
+    Path(edges_path).write_text(write_edge_list(dataset.edges))
 
     if splits_path is not None:
         doc = {k: [int(i) for i in v] for k, v in dataset.splits.items()}

@@ -20,7 +20,7 @@ import numpy as np
 from . import diagnostics
 from .data import Dataset, gen_synthetic, make_splits
 from .errors import NumericalFailure
-from .interaction import InteractionMatrix
+from .interaction import InteractionMatrix, from_weighted_edges
 from .ising import IsingModel
 from .models import FunctionClassModel
 from .mple import PLProblem, fit
@@ -346,8 +346,8 @@ def planted_potts_dataset(n=200, K=3, d=None, seed=0, beta_star=0.5,
         for j in range(i + 1, n):
             p = p_in if prototypes[i] == prototypes[j] else p_out
             if rng.random() < p:
-                edges.append((i, j))
-    A = InteractionMatrix.from_adjacency(edges, n)
+                edges.append((i, j, 1.0))
+    A = from_weighted_edges(edges, n)
 
     X = rng.standard_normal((n, d))
     informative = rng.random(n) < informative_fraction

@@ -14,14 +14,22 @@ sums come out exactly 1), which only shifts the energy of the spin model
 by a constant.  Every conditional-law computation therefore works with
 the *off-diagonal* local field ``local_field``; matrix-analytic
 quantities (norms, ``matvec``) use the full stored entries.
+
+Every edge list, from a file or from code, becomes a matrix through
+:func:`from_weighted_edges`: a pair listed more than once counts once,
+and the matrix is divided by its largest absolute row sum.  The text
+format, one ``i j [weight]`` per line, is read by :func:`read_edge_list`
+only.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericalFailure
+from .errors import DanglingEdgeError, MalformedRowError, NumericalFailure
 
 _POWER_ITER_MAX = 1000
 _POWER_ITER_TOL = 1e-10
@@ -90,28 +98,9 @@ class InteractionMatrix:
 
     @staticmethod
     def from_adjacency(edges, n):
-        """0/1 adjacency of an undirected simple graph, divided by the
-        maximum degree so the infinity norm is exactly 1.  Zero diagonal."""
-        rows, cols = [], []
-        seen = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop at node {i} is not allowed")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                continue
-            seen.add(key)
-            rows += [i, j]
-            cols += [j, i]
-        if not seen:
-            raise ValueError("empty edge set: maximum degree would be zero")
-        data = np.ones(len(rows))
-        adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        max_degree = adj.sum(axis=1).max()
-        return InteractionMatrix(n, csr=adj / max_degree)
+        """0/1 adjacency of an undirected graph: :func:`from_weighted_edges`
+        with unit weights, so divided by the maximum degree."""
+        return from_weighted_edges([(i, j, 1.0) for i, j in edges], n)
 
     @staticmethod
     def from_dense(matrix):
@@ -237,20 +226,25 @@ def _power_iteration_spectral(matvec, n, max_iters=_POWER_ITER_MAX,
 def read_edge_list(lines):
     """Parse the text edge format: one ``i j [weight]`` per line, 0-indexed,
     whitespace separated, weight defaulting to 1.  Blank lines and lines
-    starting with ``#`` are skipped.  Returns a list of (i, j, weight)."""
+    starting with ``#`` are skipped.  Returns a list of (i, j, weight); a
+    line that does not parse, or whose weight is not finite, raises
+    ``MalformedRowError`` naming its line number."""
     edges = []
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) not in (2, 3):
-            raise ValueError(f"line {line_no}: expected 'i j [weight]', got {raw!r}")
+            raise MalformedRowError(
+                f"line {line_no}: expected 'i j [weight]', got {raw!r}")
         try:
             i, j = int(parts[0]), int(parts[1])
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from exc
+            raise MalformedRowError(f"line {line_no}: {exc}") from exc
+        if not math.isfinite(w):
+            raise MalformedRowError(
+                f"line {line_no}: weight {parts[2]!r} is not a finite number")
         edges.append((i, j, w))
     return edges
 
@@ -267,16 +261,55 @@ def write_edge_list(edges):
 
 
 def from_weighted_edges(edges, n):
-    """Symmetric matrix from (i, j, weight) triples; self-loops rejected."""
-    rows, cols, data = [], [], []
-    for i, j, w in edges:
-        if i == j:
-            raise ValueError(f"self-loop at node {i} is not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-        rows += [i, j]
-        cols += [j, i]
-        data += [w, w]
-    csr = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    csr.sum_duplicates()
+    """The interaction matrix of an undirected weighted edge list.
+
+    ``edges`` holds (i, j, weight) rows, as :func:`read_edge_list` returns
+    them.  A pair listed more than once, in either order, counts once.  A
+    self-loop, a repeat with a different weight, a non-finite weight and
+    an empty or all-zero edge set raise ``ValueError``; an endpoint
+    outside 0..n-1 raises ``DanglingEdgeError``.  The symmetric matrix is
+    divided by its largest absolute row sum (the maximum degree for 0/1
+    weights), so its infinity norm is 1.
+    """
+    e = np.asarray(edges, dtype=float)
+    if e.size == 0:
+        raise ValueError("empty edge set: maximum degree would be zero")
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise ValueError("edges must be (i, j, weight) rows")
+    (i, j), w = e[:, :2].T.astype(np.int64), e[:, 2]
+    if not np.isfinite(w).all():
+        raise ValueError("edge weights must be finite")
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    bad = (lo < 0) | (hi >= n)
+    if bad.any():
+        k = np.argmax(bad)
+        raise DanglingEdgeError(
+            f"edge ({i[k]},{j[k]}) references a node outside 0..{n - 1}")
+    loop = lo == hi
+    if loop.any():
+        raise ValueError(
+            f"self-loop at node {lo[np.argmax(loop)]} is not allowed")
+
+    # sort by pair, then weight: repeats of a pair become neighbours, and
+    # a repeat that disagrees differs from the entry before it
+    key = lo * n + hi
+    order = np.lexsort((w, key))
+    key, w = key[order], w[order]
+    repeat = key[1:] == key[:-1]
+    clash = repeat & (w[1:] != w[:-1])
+    if clash.any():
+        k = np.argmax(clash)
+        raise ValueError(f"edge ({key[k] // n},{key[k] % n}) is listed with "
+                         f"weights {w[k]} and {w[k + 1]}")
+    first = np.concatenate([[True], ~repeat])
+    key, w = key[first], w[first]
+    lo, hi = key // n, key % n
+
+    scale = np.max(np.bincount(lo, np.abs(w), minlength=n)
+                   + np.bincount(hi, np.abs(w), minlength=n))
+    if scale == 0.0:
+        raise ValueError("every edge weight is zero: nothing to normalize")
+    csr = sp.csr_matrix((np.concatenate([w, w]) / scale,
+                         (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+                        shape=(n, n))
     return InteractionMatrix(n, csr=csr)

@@ -150,17 +150,6 @@ def projected_gradient_descent(objective, project, z0, step=1.0,
     return z, value, iters, pg_norm, pg_norm <= tol
 
 
-def _project(problem, z, beta_frozen):
-    """Project a stacked (theta..., beta) iterate onto the feasible set."""
-    out = np.empty_like(z)
-    out[:-1] = problem.model.project_flat(z[:-1])
-    if beta_frozen is None:
-        out[-1] = np.clip(z[-1], -problem.beta_box, problem.beta_box)
-    else:
-        out[-1] = beta_frozen
-    return out
-
-
 def fit(problem, beta_frozen=None, step=1.0, max_iters=DEFAULT_MAX_ITERS,
         tol=DEFAULT_TOL, theta0=None, beta0=0.0):
     """Projected gradient descent on (theta, beta) jointly.
@@ -172,20 +161,38 @@ def fit(problem, beta_frozen=None, step=1.0, max_iters=DEFAULT_MAX_ITERS,
     field models the objective is convex, so the result is a global
     minimizer up to that tolerance.
     """
+    return _fit_pgd(problem, neg_log_pl, beta_frozen, step, max_iters, tol,
+                    theta0, beta0)
+
+
+def _fit_pgd(problem, objective, beta_frozen, step, max_iters, tol, theta0,
+             beta0):
+    """The fit driver shared by :func:`fit` and
+    :func:`isingreg.potts.fit_potts`: projected gradient descent on the
+    stacked iterate z = (theta..., beta), where ``objective(problem,
+    theta_flat, beta)`` returns ``(value, grad_theta_flat, grad_beta)``."""
     model = problem.model
     if theta0 is None:
         theta0 = np.zeros(model.flatten().size)
     z0 = np.concatenate([np.asarray(theta0, dtype=float).ravel(),
                          [beta0 if beta_frozen is None else beta_frozen]])
 
-    def objective(zz):
-        value, g_th, g_b = neg_log_pl(problem, zz[:-1], zz[-1])
+    def project(zz):
+        out = np.empty_like(zz)
+        out[:-1] = model.project_flat(zz[:-1])
+        if beta_frozen is None:
+            out[-1] = np.clip(zz[-1], -problem.beta_box, problem.beta_box)
+        else:
+            out[-1] = beta_frozen
+        return out
+
+    def value_grad(zz):
+        value, g_th, g_b = objective(problem, zz[:-1], zz[-1])
         grad = np.concatenate([g_th, [0.0 if beta_frozen is not None else g_b]])
         return value, grad
 
     z, value, iters, pg_norm, converged = projected_gradient_descent(
-        objective, lambda zz: _project(problem, zz, beta_frozen), z0,
-        step=step, max_iters=max_iters, tol=tol)
+        value_grad, project, z0, step=step, max_iters=max_iters, tol=tol)
 
     fitted = model.with_flat(z[:-1])
     return FitResult(

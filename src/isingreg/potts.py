@@ -19,8 +19,7 @@ import numpy as np
 
 from .interaction import InteractionMatrix
 from .models import FunctionClassModel
-from .mple import (FitResult, DEFAULT_MAX_ITERS, DEFAULT_TOL,
-                   projected_gradient_descent)
+from .mple import DEFAULT_MAX_ITERS, DEFAULT_TOL, _fit_pgd
 
 
 def softmax_rows(z):
@@ -39,6 +38,16 @@ def one_hot(y, k):
     out = np.zeros((len(y), k))
     out[np.arange(len(y)), y] = 1.0
     return out
+
+
+def _known_neighbor_counts(A, known, known_labels, K):
+    """(n, K) matrix of known-neighbor label counts, self excluded:
+    c_i(k) = sum_{j != i, j in known} A_ij 1[y_j = k]."""
+    filled = np.zeros((A.n, K))
+    filled[known] = one_hot(known_labels, K)
+    counts = np.column_stack([A.matvec(filled[:, k]) for k in range(K)])
+    counts -= A.diagonal()[:, None] * filled
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,22 +91,13 @@ class PottsProblem:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sites", sites)
         object.__setattr__(self, "known", known)
-        object.__setattr__(self, "_counts", self._neighbor_counts())
+        object.__setattr__(self, "_counts", _known_neighbor_counts(
+            self.A, known, y[known], self.K))
         object.__setattr__(self, "_site_X", X[sites])
         object.__setattr__(self, "_site_counts", self._counts[sites])
         object.__setattr__(self, "_site_y", y[sites])
         object.__setattr__(self, "_site_one_hot",
                            one_hot(self._site_y, self.K))
-
-    def _neighbor_counts(self):
-        """(n, K) matrix of known-neighbor label counts, self excluded."""
-        filled = np.zeros((self.A.n, self.K))
-        filled[self.known] = one_hot(self.y[self.known], self.K)
-        counts = np.column_stack([self.A.matvec(filled[:, k])
-                                  for k in range(self.K)])
-        diag = self.A.diagonal()
-        counts -= diag[:, None] * filled
-        return counts
 
     @property
     def counts(self):
@@ -149,9 +149,7 @@ def gibbs_sample_potts(A, X, model, beta, count, K=None, burn_in=50, thin=5,
     if fields.shape != (n, K):
         raise ValueError("model output shape must be (n, K)")
 
-    filled = one_hot(y, K)
-    counts = np.column_stack([A.matvec(filled[:, k]) for k in range(K)])
-    counts -= A.diagonal()[:, None] * filled
+    counts = _known_neighbor_counts(A, np.arange(n), y, K)
 
     rows = [A.row_offdiag(i) for i in range(n)]
     out = np.empty((count, n), dtype=np.int64)
@@ -189,39 +187,8 @@ def fit_potts(problem, beta_frozen=None, step=1.0, max_iters=DEFAULT_MAX_ITERS,
     Same optimizer contract as :func:`isingreg.mple.fit`; convex for
     linear field models, local optimum for MLPs.
     """
-    model = problem.model
-    if theta0 is None:
-        theta0 = np.zeros(model.flatten().size)
-    z0 = np.concatenate([np.asarray(theta0, dtype=float).ravel(),
-                         [beta0 if beta_frozen is None else beta_frozen]])
-
-    def project(zz):
-        out = np.empty_like(zz)
-        out[:-1] = model.project_flat(zz[:-1])
-        if beta_frozen is None:
-            out[-1] = np.clip(zz[-1], -problem.beta_box, problem.beta_box)
-        else:
-            out[-1] = beta_frozen
-        return out
-
-    def objective(zz):
-        value, g_th, g_b = potts_objective_grad(problem, zz[:-1], zz[-1])
-        grad = np.concatenate([g_th, [0.0 if beta_frozen is not None else g_b]])
-        return value, grad
-
-    z, value, iters, pg_norm, converged = projected_gradient_descent(
-        objective, project, z0, step=step, max_iters=max_iters, tol=tol)
-
-    fitted = model.with_flat(z[:-1])
-    return FitResult(
-        theta_hat={k: v.copy() for k, v in fitted.params.items()},
-        beta_hat=float(z[-1]),
-        objective_value=value,
-        iterations=iters,
-        final_projected_grad_norm=pg_norm,
-        converged=converged,
-        model=fitted,
-    )
+    return _fit_pgd(problem, potts_objective_grad, beta_frozen, step,
+                    max_iters, tol, theta0, beta0)
 
 
 def predict_class(A, X, model, beta, known_idx, known_labels, targets, K=None):
@@ -235,9 +202,8 @@ def predict_class(A, X, model, beta, known_idx, known_labels, targets, K=None):
     targets = np.asarray(targets, dtype=np.int64)
     if np.intersect1d(known_idx, targets).size:
         raise ValueError("targets must be disjoint from known labels")
-    filled = np.zeros((A.n, K))
-    filled[known_idx] = one_hot(np.asarray(known_labels, dtype=np.int64), K)
-    counts = np.column_stack([A.matvec(filled[:, k]) for k in range(K)])
+    counts = _known_neighbor_counts(
+        A, known_idx, np.asarray(known_labels, dtype=np.int64), K)
     z = np.atleast_2d(model.eval(np.asarray(X, dtype=float)))[targets]
     z = z + beta * counts[targets]
     return np.argmax(z, axis=1)

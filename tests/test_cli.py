@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import isingreg
+from isingreg import cli
 from isingreg.cli import _parse_with_config, build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -38,6 +39,27 @@ class TestDispatch:
         assert code == 0
         rows = (tmp_path / "samples.csv").read_text().strip().splitlines()
         assert len(rows) == 3 and len(rows[0].split(",")) == 4
+
+    def test_sample_edges_builds_the_load_citation_matrix(self, tmp_path,
+                                                          monkeypatch):
+        seen = []
+        real = cli.gibbs_sample
+
+        def spy(model, *args, **kwargs):
+            seen.append(model.A)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "gibbs_sample", spy)
+        assert run_cli(["--out-dir", tmp_path, "sample", "--n", "10",
+                        "--matrix", "edges",
+                        "--edge-file", FIXTURES / "toy_edges.txt",
+                        "--count", "1", "--burn-in", "1"]) == 0
+        ds = isingreg.load_citation(FIXTURES / "toy_nodes.csv",
+                                    FIXTURES / "toy_edges.txt")
+        for part in ("indptr", "indices", "data"):
+            assert getattr(seen[0]._csr, part).tobytes() == \
+                getattr(ds.A._csr, part).tobytes()
+        assert seen[0].infinity == 1.0
 
     def test_fit_on_fixture(self, tmp_path):
         code = run_cli(["--out-dir", tmp_path, "fit",
@@ -167,6 +189,21 @@ class TestExitCodes:
         assert run_cli(["--out-dir", tmp_path, "fit",
                         "--nodes", nodes, "--edges", tmp_path / "edges.txt",
                         "--model", "linear", "--max-iters", "5"]) == 2
+
+    def test_sample_edges_without_edge_file(self, tmp_path):
+        assert run_cli(["--out-dir", tmp_path, "sample", "--n", "4",
+                        "--matrix", "edges"]) == 2
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_edge_weight_is_config_error(self, tmp_path, capsys,
+                                                    weight):
+        edge_file = tmp_path / "graph.txt"
+        edge_file.write_text(f"0 1\n1 2 {weight}\n")
+        assert run_cli(["--out-dir", tmp_path, "sample", "--n", "3",
+                        "--matrix", "edges", "--edge-file", edge_file,
+                        "--count", "1", "--burn-in", "1"]) == 2
+        assert "line 2: weight" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
 
     def test_invalid_grid_value(self, tmp_path):
         assert run_cli(["--out-dir", tmp_path, "rate-experiment",

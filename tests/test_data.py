@@ -166,7 +166,7 @@ class TestCitationFormat:
             allow_nan=False, allow_infinity=False)))
         order = data.draw(st.permutations(range(n)))
         ds = Dataset(X=X, labels=np.arange(n) % 3, A=None,
-                     edges=[(i, i + 1) for i in range(n - 1)])
+                     edges=[(i, i + 1, 1.0) for i in range(n - 1)])
         with tempfile.TemporaryDirectory() as tmp:
             nodes, edges = Path(tmp) / "nodes.csv", Path(tmp) / "edges.txt"
             save_citation(ds, nodes, edges)

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from isingreg import InteractionMatrix
-from isingreg.errors import NumericalFailure
+from isingreg.errors import (DanglingEdgeError, MalformedRowError,
+                             NumericalFailure)
 from isingreg.interaction import (_power_iteration_spectral, from_weighted_edges,
                                   read_edge_list, write_edge_list)
 
@@ -65,7 +66,7 @@ class TestFromAdjacency:
     def test_rejects_self_loops_out_of_range_and_empty(self):
         with pytest.raises(ValueError):
             InteractionMatrix.from_adjacency([(1, 1)], 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(DanglingEdgeError):
             InteractionMatrix.from_adjacency([(0, 5)], 3)
         with pytest.raises(ValueError):
             InteractionMatrix.from_adjacency([], 3)
@@ -196,12 +197,51 @@ class TestEdgeListFormat:
         assert read_edge_list(lines) == [(0, 1, 1.0), (1, 2, 0.25)]
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(MalformedRowError, match="line 1"):
             read_edge_list(["0 1 2 3"])
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(MalformedRowError, match="line 2: weight"):
+            read_edge_list(["0 1", f"1 2 {weight}"])
+
     def test_from_weighted_edges(self):
+        # absolute row sums 0.5, 0.75, 0.25: divided by 0.75
         A = from_weighted_edges([(0, 1, 0.5), (1, 2, -0.25)], 3)
         dense = A.dense()
-        assert dense[0, 1] == 0.5 and dense[2, 1] == -0.25
+        assert dense[0, 1] == 0.5 / 0.75 and dense[2, 1] == -0.25 / 0.75
+        assert A.infinity == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
             from_weighted_edges([(0, 0, 1.0)], 2)
+
+    def test_repeat_with_other_weight_rejected(self):
+        with pytest.raises(ValueError, match="listed with weights"):
+            from_weighted_edges([(0, 1, 0.5), (1, 2, 1.0), (1, 0, 0.25)], 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_listing_of_a_graph_builds_one_matrix(self, data):
+        n = data.draw(st.integers(2, 10))
+        pairs = sorted(data.draw(st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] < p[1]), min_size=1)))
+        weight = st.floats(-2, 2).filter(lambda w: abs(w) > 1e-3)
+        canonical = [(i, j, data.draw(weight)) for i, j in pairs]
+        # each pair listed 1-3 times, each time in either order, shuffled
+        listing = [(j, i, w) if data.draw(st.booleans()) else (i, j, w)
+                   for i, j, w in canonical
+                   for _ in range(data.draw(st.integers(1, 3)))]
+        listing = data.draw(st.permutations(listing))
+        want = from_weighted_edges(canonical, n)._csr
+        got = from_weighted_edges(listing, n)._csr
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).tobytes() == \
+                getattr(want, part).tobytes()
+        dense = got.toarray()
+        assert np.array_equal(dense, dense.T)
+        assert abs(np.abs(dense).sum(axis=1).max() - 1.0) <= 1e-12
+        unscaled = np.zeros((n, n))
+        for i, j, w in canonical:
+            unscaled[i, j] = unscaled[j, i] = w
+        np.testing.assert_allclose(
+            dense, unscaled / np.abs(unscaled).sum(axis=1).max(), rtol=1e-12)

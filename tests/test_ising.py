@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from isingreg import (InteractionMatrix, IsingModel, conditional_mean,
                       exact_summary, gibbs_sample)
 from isingreg.errors import EnumerationCapError
-from isingreg.interaction import from_weighted_edges
 from isingreg.ising import parse_spins, serialize_spins, sweep_distribution
 
 from helpers import (enumeration_conditional, random_graph_matrix,
@@ -149,10 +149,16 @@ class TestGibbs:
 
 
 def _weighted_edges_matrix(rng, n=50):
+    """Random weighted pairs, some repeated with different weights, the
+    repeats summed and the matrix not normalized."""
     pairs = rng.integers(0, n, size=(120, 2))
-    edges = [(int(i), int(j), float(w)) for (i, j), w in
-             zip(pairs, rng.uniform(-0.1, 0.1, size=120)) if i != j]
-    return from_weighted_edges(edges, n)
+    keep = pairs[:, 0] != pairs[:, 1]
+    w = rng.uniform(-0.1, 0.1, size=120)[keep]
+    i, j = pairs[keep].T
+    csr = sp.csr_matrix((np.repeat(w, 2), (np.column_stack([i, j]).ravel(),
+                                           np.column_stack([j, i]).ravel())),
+                        shape=(n, n))
+    return InteractionMatrix(n, csr=csr)
 
 
 def _hub_matrix(rng, n=90):
