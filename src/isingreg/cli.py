@@ -105,7 +105,7 @@ def cmd_fit(args):
     path = out / "fit.json"
     path.write_text(res.to_json() + "\n")
     print(f"beta_hat={res.beta_hat:.6f} objective={res.objective_value:.6f} "
-          f"converged={res.converged} -> {path}")
+          f"converged={res.converged} ({res.stop_reason}) -> {path}")
     return EXIT_OK
 
 

@@ -75,9 +75,8 @@ def _build_matrix(matrix, n, rng):
         return InteractionMatrix.curie_weiss(n)
     if kind == "erdos_renyi":
         p = matrix.get("p", 2.0 * np.log(n) / n)
-        upper = rng.random((n, n)) < p
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if upper[i, j]]
-        return InteractionMatrix.from_adjacency(edges, n)
+        i, j = np.nonzero(np.triu(rng.random((n, n)) < p, 1))
+        return InteractionMatrix.from_adjacency(zip(i.tolist(), j.tolist()), n)
     raise ValueError(f"unknown matrix construction {kind!r}")
 
 

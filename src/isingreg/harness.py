@@ -341,12 +341,11 @@ def planted_potts_dataset(n=200, K=3, d=None, seed=0, beta_star=0.5,
     d = K if d is None else d
     rng = np.random.default_rng(seed)
     prototypes = rng.integers(0, K, size=n)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = p_in if prototypes[i] == prototypes[j] else p_out
-            if rng.random() < p:
-                edges.append((i, j, 1.0))
+    # one uniform per pair i < j, in row-major order
+    i, j = np.triu_indices(n, 1)
+    p = np.where(prototypes[i] == prototypes[j], p_in, p_out)
+    hit = rng.random(len(i)) < p
+    edges = [(a, b, 1.0) for a, b in zip(i[hit].tolist(), j[hit].tolist())]
     A = from_weighted_edges(edges, n)
 
     X = rng.standard_normal((n, d))

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from .errors import EnumerationCapError
@@ -28,6 +29,9 @@ from .interaction import InteractionMatrix
 ENUMERATION_CAP = 20
 DEFAULT_BURN_IN = 50
 DEFAULT_THIN = 5
+# a CSR colour class with fewer sites plus off-diagonal entries than this
+# is resampled site by site: numpy's fixed cost would outweigh its work
+_VECTOR_CLASS_MIN = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,20 +146,59 @@ def exact_summary(model, chunk_bits=16):
     )
 
 
+def scan_order(A):
+    """The order in which one Gibbs sweep visits the sites of ``A``, as
+    ``(order, bounds)``: the classes ``order[bounds[c]:bounds[c + 1]]``
+    are visited in turn, c = 0, 1, ...
+
+    On a CSR matrix the classes are the colours of a greedy colouring of
+    the off-diagonal graph, in index order: each site takes the smallest
+    colour that none of its neighbours has, so no two sites of one class
+    share an off-diagonal entry (the diagonal is ignored).  Classes go in
+    colour order, and sites within a class in index order.  On a block
+    matrix every site is its own class and the order is 0..n-1.
+    """
+    n = A.n
+    if A._block_labels is not None:
+        return np.arange(n), np.arange(n + 1)
+    indptr, indices = A._csr.indptr.tolist(), A._csr.indices.tolist()
+    # uncoloured sites, the diagonal among them, hold -1
+    colour = [-1] * n
+    for i in range(n):
+        taken = {colour[j] for j in indices[indptr[i]:indptr[i + 1]]}
+        c = 0
+        while c in taken:
+            c += 1
+        colour[i] = c
+    colour = np.array(colour, dtype=np.int64)
+    order = np.argsort(colour, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(colour))])
+    return order, bounds
+
+
 def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
                  seed=0, initial=None):
-    """Systematic-scan single-site Gibbs sampler.
+    """Single-site Gibbs sampler with a fixed scan order.
 
-    Sites are visited in order 0..n-1; each visit resamples the site from
-    its conditional law, i.e. sets it to +1 with probability
-    (1 + tanh(beta * local_field_i + h_i)) / 2.  Returns ``count`` states
-    of shape (count, n), separated by ``thin`` full sweeps after
-    ``burn_in`` full sweeps.  Deterministic given ``seed``: site i of a
-    sweep compares the sweep's i-th uniform draw with its probability.
+    A sweep visits every site once, in the order of :func:`scan_order`,
+    and resamples it from its conditional law, i.e. sets it to +1 with
+    probability (1 + tanh(beta * local_field_i + h_i)) / 2.  On block
+    matrices the order is 0..n-1; on CSR matrices it goes one colour class
+    of the off-diagonal graph at a time, and since no two sites of a class
+    interact, resampling a class at once is the same as visiting its
+    sites one by one.  Returns ``count`` states of shape (count, n),
+    separated by ``thin`` full sweeps after ``burn_in`` full sweeps.
+    Deterministic given ``seed``: each sweep draws n uniforms, and the
+    k-th site in scan order compares the k-th with its probability.
 
-    Cost: O(1) per site visit on block matrices, which keep one running
-    sum per block.  On CSR matrices a visit reads a maintained local field
-    in O(1) and a flip pushes its change along its row, in O(row length).
+    Cost: O(1) Python steps per site visit on block matrices, which keep
+    one running sum per block.  On CSR matrices a colour class is one
+    numpy step: the product of its off-diagonal rows with the spins, one
+    ``np.tanh``, one comparison and one write-back.  A sweep then costs
+    numpy's fixed per-call overhead once per class plus O(nnz) numpy
+    arithmetic.  A class whose sites plus off-diagonal entries number fewer
+    than 64, as on small dense matrices where every class is one site,
+    is visited site by site on Python scalars, in O(row length) per site.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -168,14 +211,14 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
     else:
         sigma = _check_spins(initial, n).astype(np.int64)
     sigma = sigma.astype(np.int64)
-
-    # the sweeps run on Python scalars: per-site numpy indexing and 0-d
-    # ufunc calls cost several times the arithmetic they do
-    beta, h = model.beta, model.h.tolist()
-    spins = sigma.tolist()
+    beta = model.beta
     out = np.empty((count, n), dtype=np.int8)
 
     if model.A._block_labels is not None:
+        # Python scalars: per-site numpy indexing and 0-d ufunc calls cost
+        # several times the arithmetic they do
+        h = model.h.tolist()
+        spins = sigma.tolist()
         labels = model.A._block_labels.tolist()
         value = model.A._block_value
         nblocks = len(model.A._block_sizes)
@@ -194,24 +237,42 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
                     block_sum[b] += new - s
                     spins[i] = new
     else:
+        order, bounds = scan_order(model.A)
         csr = model.A._csr
-        indptr = csr.indptr.tolist()
-        indices, data = csr.indices.tolist(), csr.data.tolist()
-        g = memoryview(model.A.local_field(sigma))
-        diag = model.A.diagonal().tolist()
+        off = csr - sp.diags(csr.diagonal(), format="csr")
+        off.eliminate_zeros()
+        row_len = np.diff(off.indptr)
+        spins = sigma.astype(float)
+        sv = memoryview(spins)
+        # one step (first scan position, sites, off-diagonal rows, fields)
+        # per class or, for a class too small to repay numpy's fixed cost,
+        # one step per site on Python scalars
+        steps = []
+        for k0, k1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            sites = order[k0:k1]
+            if k1 - k0 + row_len[sites].sum() >= _VECTOR_CLASS_MIN:
+                steps.append((k0, sites, off[sites], model.h[sites]))
+                continue
+            for k, i in enumerate(sites.tolist(), start=k0):
+                lo, hi = off.indptr[i], off.indptr[i + 1]
+                row = list(zip(off.indices[lo:hi].tolist(),
+                               off.data[lo:hi].tolist()))
+                steps.append((k, i, row, float(model.h[i])))
 
         def run_sweep():
-            u = rng.random(n).tolist()
-            for i in range(n):
-                p_plus = 0.5 * (1.0 + math.tanh(beta * g[i] + h[i]))
-                new = 1 if u[i] < p_plus else -1
-                s = spins[i]
-                if new != s:
-                    delta = new - s
-                    for k in range(indptr[i], indptr[i + 1]):
-                        g[indices[k]] += data[k] * delta
-                    g[i] -= diag[i] * delta
-                    spins[i] = new
+            u = rng.random(n)
+            uv = memoryview(u)
+            for k, sites, rows, hs in steps:
+                if type(sites) is int:
+                    field = 0.0
+                    for j, a in rows:
+                        field += a * sv[j]
+                    p_plus = 0.5 * (1.0 + math.tanh(beta * field + hs))
+                    sv[sites] = 1.0 if uv[k] < p_plus else -1.0
+                else:
+                    p_plus = 0.5 * (1.0 + np.tanh(beta * (rows @ spins) + hs))
+                    spins[sites] = np.where(u[k:k + len(sites)] < p_plus,
+                                            1.0, -1.0)
 
     for _ in range(burn_in):
         run_sweep()
@@ -224,8 +285,9 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
 
 
 def sweep_distribution(model, probs):
-    """Push a distribution over all 2^n states through one systematic
-    Gibbs sweep, exactly.  Used to verify stationarity at small n."""
+    """Push a distribution over all 2^n states through one Gibbs sweep,
+    exactly, visiting the sites in :func:`scan_order` as
+    :func:`gibbs_sample` does.  Used to verify stationarity at small n."""
     n = model.n
     if n > 14:
         raise EnumerationCapError("dense sweep kernel capped at n=14")
@@ -237,7 +299,7 @@ def sweep_distribution(model, probs):
     np.fill_diagonal(a_off, 0.0)
     p = probs.copy()
     idx = np.arange(2 ** n, dtype=np.int64)
-    for i in range(n):
+    for i in scan_order(model.A)[0].tolist():
         bit = 1 << i
         local = spins @ a_off[:, i]          # independent of sigma_i
         p_plus = 0.5 * (1.0 + np.tanh(model.beta * local + model.h[i]))

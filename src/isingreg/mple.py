@@ -64,15 +64,25 @@ class PLProblem:
 
 @dataclass
 class FitResult:
-    """Estimated parameters plus optimizer telemetry."""
+    """Estimated parameters plus optimizer telemetry.
+
+    ``stop_reason`` says why the solver stopped: ``"tol"`` (the
+    projected-gradient norm reached the tolerance), ``"max_iters"`` or
+    ``"no_descent"`` (no step along the projected gradient lowered the
+    objective in floating point).  Only ``"tol"`` counts as converged.
+    """
 
     theta_hat: dict
     beta_hat: float
     objective_value: float
     iterations: int
     final_projected_grad_norm: float
-    converged: bool
+    stop_reason: str
     model: FunctionClassModel = field(repr=False, default=None)
+
+    @property
+    def converged(self):
+        return self.stop_reason == "tol"
 
     def to_json(self):
         return json.dumps({
@@ -83,6 +93,7 @@ class FitResult:
             "iterations": self.iterations,
             "final_projected_grad_norm": self.final_projected_grad_norm,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
         })
 
 
@@ -107,7 +118,10 @@ def projected_gradient_descent(objective, project, z0, step=1.0,
     The trial step is a Barzilai-Borwein curvature estimate clipped to
     (0, ``step``], halved until the Armijo condition (constant 1e-4)
     holds.  Deterministic.  Returns (z, value, iterations, pg_norm,
-    converged), where pg_norm is the unit-step projected-gradient norm.
+    stop_reason), where pg_norm is the unit-step projected-gradient norm
+    and stop_reason is ``"tol"`` (pg_norm reached ``tol``),
+    ``"no_descent"`` (the line search found no lower value) or
+    ``"max_iters"``.
     """
     z = project(np.asarray(z0, dtype=float))
     value, grad = objective(z)
@@ -122,7 +136,7 @@ def projected_gradient_descent(objective, project, z0, step=1.0,
         pg = z - project(z - grad)
         pg_norm = float(np.linalg.norm(pg))
         if pg_norm <= tol:
-            break
+            return z, value, iters, pg_norm, "tol"
         if prev_z is not None:
             dz = z - prev_z
             dg = grad - prev_grad
@@ -146,8 +160,8 @@ def projected_gradient_descent(objective, project, z0, step=1.0,
             step *= 0.5
         if not moved:
             # descent no longer certifiable at machine precision
-            break
-    return z, value, iters, pg_norm, pg_norm <= tol
+            return z, value, iters, pg_norm, "no_descent"
+    return z, value, iters, pg_norm, "max_iters"
 
 
 def fit(problem, beta_frozen=None, step=1.0, max_iters=DEFAULT_MAX_ITERS,
@@ -191,7 +205,7 @@ def _fit_pgd(problem, objective, beta_frozen, step, max_iters, tol, theta0,
         grad = np.concatenate([g_th, [0.0 if beta_frozen is not None else g_b]])
         return value, grad
 
-    z, value, iters, pg_norm, converged = projected_gradient_descent(
+    z, value, iters, pg_norm, stop_reason = projected_gradient_descent(
         value_grad, project, z0, step=step, max_iters=max_iters, tol=tol)
 
     fitted = model.with_flat(z[:-1])
@@ -201,7 +215,7 @@ def _fit_pgd(problem, objective, beta_frozen, step, max_iters, tol, theta0,
         objective_value=value,
         iterations=iters,
         final_projected_grad_norm=pg_norm,
-        converged=converged,
+        stop_reason=stop_reason,
         model=fitted,
     )
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from isingreg import InteractionMatrix, IsingModel
-from isingreg.ising import _check_spins
+from isingreg.ising import _check_spins, scan_order
 from isingreg.potts import log_softmax_rows, one_hot, softmax_rows
 
 
@@ -50,11 +50,13 @@ def enumeration_conditional(summary, state_index, i, n):
 
 def reference_gibbs_sample(model, count, burn_in=50, thin=5, seed=0,
                            initial=None):
-    """Reference for ``gibbs_sample``: the same systematic scan with
-    per-site numpy scalars and one ``rng.random()`` call per visit.
+    """Reference for ``gibbs_sample``: the same scan order, one site at a
+    time, with per-site numpy scalars and one ``rng.random()`` call per
+    visit.
 
-    ``gibbs_sample`` runs this arithmetic on Python scalars with each
-    sweep's uniforms drawn at once, and must produce the same bytes.
+    ``gibbs_sample`` draws each sweep's uniforms at once, runs block
+    matrices on Python scalars and updates each colour class of a CSR
+    matrix at once, and must produce the same bytes.
     """
     n = model.n
     rng = np.random.default_rng(seed)
@@ -87,9 +89,10 @@ def reference_gibbs_sample(model, count, burn_in=50, thin=5, seed=0,
         indptr, indices, data = csr.indptr, csr.indices, csr.data
         g = model.A.local_field(sigma)
         diag = model.A.diagonal()
+        order = scan_order(model.A)[0]
 
         def run_sweep():
-            for i in range(n):
+            for i in order:
                 p_plus = 0.5 * (1.0 + np.tanh(beta * g[i] + h[i]))
                 new = 1 if rng.random() < p_plus else -1
                 if new != sigma[i]:

@@ -69,6 +69,8 @@ class TestDispatch:
         assert code == 0
         doc = json.loads((tmp_path / "fit.json").read_text())
         assert abs(doc["beta_hat"]) <= 1.0
+        assert doc["stop_reason"] in {"tol", "max_iters", "no_descent"}
+        assert doc["converged"] == (doc["stop_reason"] == "tol")
 
     def test_fit_beta_frozen_flag(self, tmp_path):
         code = run_cli(["--out-dir", tmp_path, "fit",

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from isingreg import (InteractionMatrix, IsingModel, exact_summary,
                       gen_synthetic, load_citation, make_splits, save_citation)
-from isingreg.data import Dataset, validate_splits
+from isingreg.data import Dataset, _build_matrix, validate_splits
 from isingreg.errors import (DanglingEdgeError, DuplicateIdError,
                              MalformedRowError, SplitError)
 
@@ -71,6 +71,22 @@ class TestGenSynthetic:
             gen_synthetic(n=n, d=1, matrix={"kind": "curie_weiss"},
                           theta_star=np.array([2.0]), feature_law="given",
                           features=clean, field_bound=5.0, seed=0)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_erdos_renyi_draws_the_pair_loop_edges(self, seed):
+        n, p = 60, 0.08
+        rng = np.random.default_rng(seed)
+        got = _build_matrix({"kind": "erdos_renyi", "p": p}, n, rng)._csr
+        ref = np.random.default_rng(seed)
+        upper = ref.random((n, n)) < p
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if upper[i, j]]
+        want = InteractionMatrix.from_adjacency(edges, n)._csr
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).tobytes() == \
+                getattr(want, part).tobytes()
+        assert rng.random() == ref.random()
 
 
 class TestMakeSplits:

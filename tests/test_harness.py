@@ -139,6 +139,26 @@ class TestBenchmark:
         assert sorted(merged) == list(range(100))
         assert ds.A.infinity == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_edges_match_the_pair_loop(self, seed):
+        n, K, p_in, p_out = 90, 3, 0.10, 0.006
+        ds = planted_potts_dataset(n=n, K=K, seed=seed, p_in=p_in,
+                                   p_out=p_out)
+        rng = np.random.default_rng(seed)
+        prototypes = rng.integers(0, K, size=n)
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                p = p_in if prototypes[i] == prototypes[j] else p_out
+                if rng.random() < p:
+                    edges.append((i, j, 1.0))
+        assert ds.edges == edges
+        # the features are the generator's next draws
+        X = rng.standard_normal((n, K))
+        informative = rng.random(n) < 0.5
+        X[informative, prototypes[informative] % K] += 2.0
+        assert ds.X.tobytes() == X.tobytes()
+
     def test_benchmark_schema_and_determinism(self):
         ds = planted_potts_dataset(n=80, K=3, seed=2)
         t1 = accuracy_benchmark(ds, seeds=[0, 1], max_iters=80)

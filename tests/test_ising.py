@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from isingreg import (InteractionMatrix, IsingModel, conditional_mean,
                       exact_summary, gibbs_sample)
 from isingreg.errors import EnumerationCapError
-from isingreg.ising import parse_spins, serialize_spins, sweep_distribution
+from isingreg.ising import (_VECTOR_CLASS_MIN, parse_spins, scan_order,
+                           serialize_spins, sweep_distribution)
 
 from helpers import (enumeration_conditional, random_graph_matrix,
-                     random_model, random_spins, reference_gibbs_sample)
+                     random_model, random_spins, random_symmetric_matrix,
+                     reference_gibbs_sample)
 
 
 def two_spin_model(beta, h=(0.0, 0.0)):
@@ -180,7 +183,16 @@ REFERENCE_MATRICES = {
     "adjacency": lambda rng: random_graph_matrix(rng, 40, p=0.1),
     "weighted_edges": _weighted_edges_matrix,
     "dense_hub_diagonal": _hub_matrix,
+    # every colour class is one site
+    "dense_complete": lambda rng: random_symmetric_matrix(rng, 12),
 }
+
+
+def _class_work(A):
+    """Sites plus off-diagonal entries of each colour class of ``A``."""
+    order, bounds = scan_order(A)
+    return [sum(1 + len(A.row_offdiag(i)[0]) for i in order[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 class TestGibbsMatchesReference:
@@ -203,6 +215,70 @@ class TestGibbsMatchesReference:
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["dense_hub_diagonal", "dense_complete"])
+def test_diagonal_never_enters_a_conditional(kind):
+    rng = np.random.default_rng(32)
+    m = REFERENCE_MATRICES[kind](rng).dense()
+    np.fill_diagonal(m, 0.0)
+    heavy = m + np.diag(rng.uniform(1.0, 2.0, size=len(m)))
+    h = rng.uniform(-0.5, 0.5, size=len(m))
+    got, want = (gibbs_sample(IsingModel(InteractionMatrix.from_dense(a), h,
+                                         0.8), 3, burn_in=5, thin=2, seed=8)
+                 for a in (heavy, m))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_reference_cases_cover_both_class_updates():
+    """Some CSR classes are one numpy step and some go site by site."""
+    rng = np.random.default_rng(31)
+    work = [w for kind in ("adjacency", "weighted_edges",
+                           "dense_hub_diagonal", "dense_complete")
+            for w in _class_work(REFERENCE_MATRICES[kind](rng))]
+    assert min(work) < _VECTOR_CLASS_MIN <= max(work)
+
+
+def _random_weighted_graph(data):
+    n = data.draw(st.integers(1, 25))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    keep = np.triu(rng.random((n, n)) < data.draw(st.floats(0.0, 1.0)), 1)
+    m = np.where(keep, rng.uniform(-1.0, 1.0, size=(n, n)), 0.0)
+    m = m + m.T
+    if data.draw(st.booleans()):
+        np.fill_diagonal(m, rng.uniform(0.1, 1.0, size=n))
+    return m
+
+
+class TestScanOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_greedy_colouring_of_weighted_graphs(self, data):
+        m = _random_weighted_graph(data)
+        n = len(m)
+        order, bounds = scan_order(InteractionMatrix(n, csr=sp.csr_matrix(m)))
+        assert sorted(order.tolist()) == list(range(n))
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert np.all(np.diff(bounds) > 0)
+        linked = m != 0
+        np.fill_diagonal(linked, False)
+        classes = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        for c, sites in enumerate(classes):
+            assert np.all(np.diff(sites) > 0)
+            assert not linked[np.ix_(sites, sites)].any()
+            # greedy in index order: every smaller colour is taken by a
+            # neighbour coloured before the site
+            for i in sites:
+                for earlier in classes[:c]:
+                    assert linked[i, earlier[earlier < i]].any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 6))
+    def test_block_matrices_scan_in_index_order(self, size, r):
+        A = InteractionMatrix.block_partition(size * r, r)
+        order, bounds = scan_order(A)
+        assert order.tolist() == list(range(size * r))
+        assert bounds.tolist() == list(range(size * r + 1))
+
+
 class TestSweepStationarity:
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_distribution_is_invariant(self, seed):
@@ -211,6 +287,31 @@ class TestSweepStationarity:
         table = exact_summary(model).full_table
         after = sweep_distribution(model, table)
         assert np.max(np.abs(after - table)) <= 1e-10
+
+    def test_one_sweep_visits_sites_in_scan_order(self):
+        # a path 0-1-2-3-4: the scan order 0, 2, 4, 1, 3 is not 0..n-1
+        n = 5
+        A = InteractionMatrix.from_adjacency([(i, i + 1) for i in range(4)],
+                                             n)
+        model = IsingModel(A, np.linspace(-0.4, 0.6, n), 0.9)
+        order = scan_order(A)[0].tolist()
+        assert order == [0, 2, 4, 1, 3]
+        a = A.dense()
+        start = 0b10110
+        p = np.zeros(2 ** n)
+        p[start] = 1.0
+        want = np.empty(2 ** n)
+        for end in range(2 ** n):
+            state = (((start >> np.arange(n)) & 1) * 2 - 1).astype(float)
+            prob = 1.0
+            for i in order:
+                plus = 0.5 * (1.0 + np.tanh(model.beta * (a[i] @ state)
+                                            + model.h[i]))
+                state[i] = 1.0 if (end >> i) & 1 else -1.0
+                prob *= plus if state[i] > 0 else 1.0 - plus
+            want[end] = prob
+        np.testing.assert_allclose(sweep_distribution(model, p), want,
+                                   rtol=1e-12, atol=0)
 
     def test_sweep_moves_non_stationary_distribution(self):
         rng = np.random.default_rng(77)

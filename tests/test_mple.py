@@ -217,7 +217,27 @@ class TestFit:
         doc = json.loads(res.to_json())
         assert set(doc) == {"theta_hat", "beta_hat", "objective_value",
                             "iterations", "final_projected_grad_norm",
-                            "converged"}
+                            "converged", "stop_reason"}
+
+    def test_stop_reason_tol(self):
+        res = fit(linear_problem(np.random.default_rng(37)), tol=1e-6)
+        assert res.stop_reason == "tol"
+        assert res.converged
+        assert res.final_projected_grad_norm <= 1e-6
+
+    def test_stop_reason_max_iters(self):
+        res = fit(linear_problem(np.random.default_rng(37)), max_iters=2)
+        assert res.stop_reason == "max_iters"
+        assert not res.converged
+        assert res.iterations == 2
+
+    def test_stop_reason_no_descent(self):
+        # tol=0 is out of reach: the line search runs out of descent at
+        # machine precision first
+        res = fit(linear_problem(np.random.default_rng(37)), tol=0.0)
+        assert res.stop_reason == "no_descent"
+        assert not res.converged
+        assert res.iterations < 10_000
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(35)
