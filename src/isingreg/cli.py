@@ -38,9 +38,17 @@ def _out_dir(args):
 
 
 def _load_dataset(args):
-    if args.nodes:
+    if args.nodes and args.edges:
         return load_citation(args.nodes, args.edges, args.splits)
-    raise ValueError("this command needs --nodes/--edges (and usually --splits)")
+    raise ValueError("this command needs --nodes and --edges together")
+
+
+def _formats(text):
+    """A --formats value: comma-separated names, each csv or svg."""
+    formats = tuple(text.split(","))
+    if not set(formats) <= {"csv", "svg"}:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a subset of csv,svg")
+    return formats
 
 
 def _matrix_from_args(args, n):
@@ -152,8 +160,7 @@ def cmd_rate_experiment(args):
     grid = [float(g) for g in args.grid.split(",")]
     table = harness.rate_experiment(args.kind, grid, args.trials,
                                     seed=args.seed)
-    harness.emit(table, out, formats=tuple(args.formats.split(",")),
-                 stem=args.kind)
+    harness.emit(table, out, formats=args.formats, stem=args.kind)
     print(f"wrote {args.kind} results to {out}")
     return EXIT_OK
 
@@ -173,15 +180,14 @@ def cmd_curie_weiss(args):
     grid = [float(g) for g in args.grid.split(",")]
     table = harness.curie_weiss_experiment(grid, args.n, args.trials,
                                            seed=args.seed)
-    harness.emit(table, out, formats=tuple(args.formats.split(",")),
-                 stem="curie_weiss")
+    harness.emit(table, out, formats=args.formats, stem="curie_weiss")
     print(f"wrote curie-weiss results to {out}")
     return EXIT_OK
 
 
 def cmd_benchmark(args):
     out = _out_dir(args)
-    if args.nodes:
+    if args.nodes or args.edges or args.splits:
         ds = _load_dataset(args)
         if not ds.splits:
             ds.splits = make_splits(ds.labels, seed=args.seed)
@@ -194,8 +200,7 @@ def cmd_benchmark(args):
     seeds = [args.seed + i for i in range(args.benchmark_seeds)]
     table = harness.accuracy_benchmark(ds, seeds, model_kind=args.model_kind,
                                        width=args.width, dataset_name=name)
-    harness.emit(table, out, formats=tuple(args.formats.split(",")),
-                 stem="benchmark")
+    harness.emit(table, out, formats=args.formats, stem="benchmark")
     print(f"wrote benchmark results to {out}")
     return EXIT_OK
 
@@ -203,7 +208,7 @@ def cmd_benchmark(args):
 def cmd_emit(args):
     out = _out_dir(args)
     table = harness.ExperimentTable.from_csv(Path(args.table).read_text())
-    harness.emit(table, out, formats=tuple(args.formats.split(",")),
+    harness.emit(table, out, formats=args.formats,
                  stem=Path(args.table).stem)
     print(f"re-emitted {args.table} to {out}")
     return EXIT_OK
@@ -261,7 +266,7 @@ def build_parser():
                    choices=sorted(harness.SWEEP_DEFAULTS))
     p.add_argument("--grid", default="4,16,64,256")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--formats", default="csv,svg")
+    p.add_argument("--formats", type=_formats, default="csv,svg")
     p.set_defaults(func=cmd_rate_experiment)
 
     p = sub.add_parser("lower-bound-demo",
@@ -275,7 +280,7 @@ def build_parser():
     p.add_argument("--grid", default="0.5,0.95")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--formats", default="csv,svg")
+    p.add_argument("--formats", type=_formats, default="csv,svg")
     p.set_defaults(func=cmd_curie_weiss)
 
     p = sub.add_parser("benchmark", help="MPLE-0 vs MPLE-beta accuracy")
@@ -289,12 +294,12 @@ def build_parser():
     p.add_argument("--model-kind", default="mlp2",
                    choices=["mlp2", "linear"])
     p.add_argument("--width", type=int, default=32)
-    p.add_argument("--formats", default="csv,svg")
+    p.add_argument("--formats", type=_formats, default="csv,svg")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("emit", help="re-render a stored results table")
     p.add_argument("--table", required=True)
-    p.add_argument("--formats", default="csv,svg")
+    p.add_argument("--formats", type=_formats, default="csv,svg")
     p.set_defaults(func=cmd_emit)
     return parser
 
@@ -316,7 +321,7 @@ def _config_value(key, action, value):
         raise ValueError(f"config key {key!r} must be a string or a number")
     try:
         value = action.type(str(value)) if action.type else str(value)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"config key {key!r}: {exc}") from exc
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"config key {key!r}: {value!r} is not one of "

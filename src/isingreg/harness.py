@@ -356,7 +356,7 @@ def planted_potts_dataset(n=200, K=3, d=None, seed=0, beta_star=0.5,
     w_true[np.arange(K) % d, np.arange(K)] = field_scale
     truth = FunctionClassModel.linear(d, n_outputs=K, theta=w_true,
                                       l2_radius=None)
-    y = gibbs_sample_potts(A, X, truth, beta_star, 1, K=K, burn_in=60,
+    y = gibbs_sample_potts(A, X, truth, beta_star, 1, burn_in=60,
                            seed=seed + 1)[0]
     splits = make_splits(y, fractions=fractions, seed=seed + 2)
     return Dataset(X=X, labels=y, A=A, splits=splits,
@@ -406,7 +406,7 @@ def accuracy_benchmark(dataset, seeds, model_kind="mlp2", width=32,
                 theta0 = res.model.flatten()
             pred = predict_class(dataset.A, dataset.X, res.model, res.beta_hat,
                                  known_at_test, dataset.labels[known_at_test],
-                                 test, K=K)
+                                 test)
             acc = float(np.mean(pred == dataset.labels[test]))
             accs[method].append(acc)
             table.add("benchmark", config, ti, s, f"acc_{method}", acc)

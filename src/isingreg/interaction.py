@@ -56,8 +56,8 @@ class InteractionMatrix:
             if csr.shape != (n, n):
                 raise ValueError("matrix shape does not match node count")
             csr.sum_duplicates()
-            # the Gibbs sampler pushes A_ij * delta into the field of j,
-            # which is the field change only when A_ji = A_ij
+            # the Gibbs samplers read site i's conditional off row i, which
+            # is the conditional of the energy only when A_ji = A_ij
             asym = abs(csr - csr.T)
             if asym.nnz and asym.max() > _SYMMETRY_TOL:
                 raise ValueError("matrix is not symmetric")
@@ -147,18 +147,6 @@ class InteractionMatrix:
             np.add.at(sums.T, self._block_labels, states.T)
             full = self._block_value * sums[:, self._block_labels]
         return full - self.diagonal() * states
-
-    def row_offdiag(self, i):
-        """(indices, values) of the off-diagonal entries of row i."""
-        if self._csr is not None:
-            sl = slice(self._csr.indptr[i], self._csr.indptr[i + 1])
-            idx = self._csr.indices[sl]
-            vals = self._csr.data[sl]
-            keep = idx != i
-            return idx[keep], vals[keep]
-        members = np.flatnonzero(self._block_labels == self._block_labels[i])
-        members = members[members != i]
-        return members, np.full(members.size, self._block_value)
 
     def dense(self, cap=4096):
         if self.n > cap:

@@ -92,8 +92,7 @@ def conditional_mean(model, sigma, i):
     sigma = _check_spins(sigma, model.n)
     if not 0 <= i < model.n:
         raise IndexError(f"site {i} out of range")
-    idx, vals = model.A.row_offdiag(i)
-    field = float(vals @ sigma[idx])
+    field = float(model.A.local_field(sigma)[i])
     return float(np.tanh(model.beta * field + model.h[i]))
 
 
@@ -176,6 +175,40 @@ def scan_order(A):
     return order, bounds
 
 
+def _colour_classes(A):
+    """The off-diagonal CSR of ``A`` and one ``(k0, sites, rows)`` per
+    class of :func:`scan_order`: its first scan position, its sites and
+    their off-diagonal rows.  No entry of ``rows`` joins two sites of the
+    class.  Raises ``ValueError`` on a block matrix."""
+    if A._block_labels is not None:
+        raise ValueError("colour classes need a CSR interaction matrix")
+    order, bounds = scan_order(A)
+    csr = A._csr
+    off = csr - sp.diags(csr.diagonal(), format="csr")
+    off.eliminate_zeros()
+    return off, [(k0, order[k0:k1], off[order[k0:k1]])
+                 for k0, k1 in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
+def _run_chain(run_sweep, state, count, burn_in, thin, dtype):
+    """``count`` copies of ``state``, which ``run_sweep`` updates in place:
+    the first after ``burn_in`` sweeps, each later one ``thin`` sweeps
+    after the one before."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if thin < 1:
+        raise ValueError("thin must be at least 1")
+    out = np.empty((count, len(state)), dtype=dtype)
+    for _ in range(burn_in):
+        run_sweep()
+    for k in range(count):
+        if k > 0:
+            for _ in range(thin):
+                run_sweep()
+        out[k] = state
+    return out
+
+
 def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
                  seed=0, initial=None):
     """Single-site Gibbs sampler with a fixed scan order.
@@ -184,12 +217,13 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
     and resamples it from its conditional law, i.e. sets it to +1 with
     probability (1 + tanh(beta * local_field_i + h_i)) / 2.  On block
     matrices the order is 0..n-1; on CSR matrices it goes one colour class
-    of the off-diagonal graph at a time, and since no two sites of a class
-    interact, resampling a class at once is the same as visiting its
-    sites one by one.  Returns ``count`` states of shape (count, n),
-    separated by ``thin`` full sweeps after ``burn_in`` full sweeps.
-    Deterministic given ``seed``: each sweep draws n uniforms, and the
-    k-th site in scan order compares the k-th with its probability.
+    of the off-diagonal graph at a time, as the Potts sampler does, and
+    since no two sites of a class interact, resampling a class at once is
+    the same as visiting its sites one by one.  Returns ``count`` states
+    of shape (count, n), separated by ``thin`` full sweeps after
+    ``burn_in`` full sweeps.  Deterministic given ``seed``: each sweep
+    draws n uniforms, and the k-th site in scan order compares the k-th
+    with its probability.
 
     Cost: O(1) Python steps per site visit on block matrices, which keep
     one running sum per block.  On CSR matrices a colour class is one
@@ -200,19 +234,13 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
     than 64, as on small dense matrices where every class is one site,
     is visited site by site on Python scalars, in O(row length) per site.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if thin < 1:
-        raise ValueError("thin must be at least 1")
     n = model.n
     rng = np.random.default_rng(seed)
     if initial is None:
         sigma = rng.integers(0, 2, size=n) * 2 - 1
     else:
         sigma = _check_spins(initial, n).astype(np.int64)
-    sigma = sigma.astype(np.int64)
     beta = model.beta
-    out = np.empty((count, n), dtype=np.int8)
 
     if model.A._block_labels is not None:
         # Python scalars: per-site numpy indexing and 0-d ufunc calls cost
@@ -237,21 +265,16 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
                     block_sum[b] += new - s
                     spins[i] = new
     else:
-        order, bounds = scan_order(model.A)
-        csr = model.A._csr
-        off = csr - sp.diags(csr.diagonal(), format="csr")
-        off.eliminate_zeros()
-        row_len = np.diff(off.indptr)
+        off, classes = _colour_classes(model.A)
         spins = sigma.astype(float)
         sv = memoryview(spins)
         # one step (first scan position, sites, off-diagonal rows, fields)
         # per class or, for a class too small to repay numpy's fixed cost,
         # one step per site on Python scalars
         steps = []
-        for k0, k1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            sites = order[k0:k1]
-            if k1 - k0 + row_len[sites].sum() >= _VECTOR_CLASS_MIN:
-                steps.append((k0, sites, off[sites], model.h[sites]))
+        for k0, sites, rows in classes:
+            if len(sites) + rows.nnz >= _VECTOR_CLASS_MIN:
+                steps.append((k0, sites, rows, model.h[sites]))
                 continue
             for k, i in enumerate(sites.tolist(), start=k0):
                 lo, hi = off.indptr[i], off.indptr[i + 1]
@@ -274,14 +297,7 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
                     spins[sites] = np.where(u[k:k + len(sites)] < p_plus,
                                             1.0, -1.0)
 
-    for _ in range(burn_in):
-        run_sweep()
-    for k in range(count):
-        if k > 0:
-            for _ in range(thin):
-                run_sweep()
-        out[k] = spins
-    return out
+    return _run_chain(run_sweep, spins, count, burn_in, thin, np.int8)
 
 
 def sweep_distribution(model, probs):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interaction import InteractionMatrix
+from .ising import _colour_classes, _run_chain
 from .models import FunctionClassModel
 from .mple import DEFAULT_MAX_ITERS, DEFAULT_TOL, _fit_pgd
 
@@ -132,52 +133,38 @@ def potts_objective_grad(problem, theta_flat, beta):
     return value, grad_theta, grad_beta
 
 
-def gibbs_sample_potts(A, X, model, beta, count, K=None, burn_in=50, thin=5,
-                       seed=0, initial=None):
-    """Systematic-scan Gibbs sampler for the Potts model with ground-truth
-    field model and beta.  Returns (count, n) integer labels."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if thin < 1:
-        raise ValueError("thin must be at least 1")
-    K = model.n_outputs if K is None else K
+def gibbs_sample_potts(A, X, model, beta, count, burn_in=50, thin=5, seed=0):
+    """Gibbs sampler for the Potts model with ground-truth field model and
+    beta; returns (count, n) labels in 0..``model.n_outputs``-1.
+
+    Scans as :func:`isingreg.ising.gibbs_sample` does on a CSR matrix, one
+    numpy step per colour class: z = fields + beta * (neighbour label
+    counts, read through the class's off-diagonal rows), then the k-th
+    site in scan order takes the first class whose cumulative weight
+    reaches the sweep's k-th uniform times the total.  A block matrix
+    raises ``ValueError``.
+    """
+    K = model.n_outputs
     n = A.n
     rng = np.random.default_rng(seed)
-    y = (rng.integers(0, K, size=n) if initial is None
-         else np.asarray(initial, dtype=np.int64).copy())
+    y = rng.integers(0, K, size=n)
     fields = np.atleast_2d(model.eval(np.asarray(X, dtype=float)))
     if fields.shape != (n, K):
         raise ValueError("model output shape must be (n, K)")
-
-    counts = _known_neighbor_counts(A, np.arange(n), y, K)
-
-    rows = [A.row_offdiag(i) for i in range(n)]
-    out = np.empty((count, n), dtype=np.int64)
+    _, classes = _colour_classes(A)
+    onehot = one_hot(y, K)
 
     def run_sweep():
-        # increments go through off-diagonal rows only, so counts never
-        # pick up a self-contribution after the initial correction
-        for i in range(n):
-            z = fields[i] + beta * counts[i]
-            z = z - z.max()
-            p = np.exp(z)
-            cum = np.cumsum(p)
-            new = int(np.searchsorted(cum, rng.random() * cum[-1]))
-            old = y[i]
-            if new != old:
-                idx, vals = rows[i]
-                counts[idx, old] -= vals
-                counts[idx, new] += vals
-                y[i] = new
+        u = rng.random(n)
+        for k0, sites, rows in classes:
+            z = fields[sites] + beta * (rows @ onehot)
+            cum = np.cumsum(np.exp(z - z.max(axis=1, keepdims=True)), axis=1)
+            new = (cum < u[k0:k0 + len(sites), None] * cum[:, -1:]).sum(1)
+            onehot[sites, y[sites]] = 0.0
+            onehot[sites, new] = 1.0
+            y[sites] = new
 
-    for _ in range(burn_in):
-        run_sweep()
-    for k in range(count):
-        if k > 0:
-            for _ in range(thin):
-                run_sweep()
-        out[k] = y
-    return out
+    return _run_chain(run_sweep, y, count, burn_in, thin, np.int64)
 
 
 def fit_potts(problem, beta_frozen=None, step=1.0, max_iters=DEFAULT_MAX_ITERS,
@@ -191,19 +178,19 @@ def fit_potts(problem, beta_frozen=None, step=1.0, max_iters=DEFAULT_MAX_ITERS,
                     max_iters, tol, theta0, beta0)
 
 
-def predict_class(A, X, model, beta, known_idx, known_labels, targets, K=None):
+def predict_class(A, X, model, beta, known_idx, known_labels, targets):
     """Argmax of the conditional restricted to known-labeled neighbors.
 
     Unknown neighbors contribute zero; argmax ties break to the lowest
     class index.
     """
-    K = model.n_outputs if K is None else K
     known_idx = np.asarray(known_idx, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     if np.intersect1d(known_idx, targets).size:
         raise ValueError("targets must be disjoint from known labels")
     counts = _known_neighbor_counts(
-        A, known_idx, np.asarray(known_labels, dtype=np.int64), K)
+        A, known_idx, np.asarray(known_labels, dtype=np.int64),
+        model.n_outputs)
     z = np.atleast_2d(model.eval(np.asarray(X, dtype=float)))[targets]
     z = z + beta * counts[targets]
     return np.argmax(z, axis=1)

@@ -1,6 +1,7 @@
 """Shared builders for randomized test instances."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from isingreg import InteractionMatrix, IsingModel
 from isingreg.ising import _check_spins, scan_order
@@ -46,6 +47,43 @@ def enumeration_conditional(summary, state_index, i, n):
     else:
         p_plus, p_minus = summary.full_table[flip], summary.full_table[state_index]
     return (p_plus - p_minus) / (p_plus + p_minus)
+
+
+def _weighted_edges_matrix(rng, n=50):
+    """Random weighted pairs, some repeated with different weights, the
+    repeats summed and the matrix not normalized."""
+    pairs = rng.integers(0, n, size=(120, 2))
+    keep = pairs[:, 0] != pairs[:, 1]
+    w = rng.uniform(-0.1, 0.1, size=120)[keep]
+    i, j = pairs[keep].T
+    csr = sp.csr_matrix((np.repeat(w, 2), (np.column_stack([i, j]).ravel(),
+                                           np.column_stack([j, i]).ravel())),
+                        shape=(n, n))
+    return InteractionMatrix(n, csr=csr)
+
+
+def _hub_matrix(rng, n=90):
+    """Nonzero diagonal, so a flip runs the diagonal correction, and one
+    full hub row among short rows."""
+    m = np.zeros((n, n))
+    rows, cols = rng.integers(0, n, size=(2, 2 * n))
+    m[rows, cols] = rng.normal(size=2 * n)
+    m[0, :] = rng.normal(size=n)
+    m = m + m.T
+    np.fill_diagonal(m, rng.uniform(0.1, 0.5, size=n))
+    m /= np.abs(m).sum(axis=1).max()
+    return InteractionMatrix.from_dense(m)
+
+
+REFERENCE_MATRICES = {
+    "block_r1": lambda rng: InteractionMatrix.curie_weiss(60),
+    "block_r4": lambda rng: InteractionMatrix.block_partition(60, 4),
+    "adjacency": lambda rng: random_graph_matrix(rng, 40, p=0.1),
+    "weighted_edges": _weighted_edges_matrix,
+    "dense_hub_diagonal": _hub_matrix,
+    # every colour class is one site
+    "dense_complete": lambda rng: random_symmetric_matrix(rng, 12),
+}
 
 
 def reference_gibbs_sample(model, count, burn_in=50, thin=5, seed=0,
@@ -109,6 +147,55 @@ def reference_gibbs_sample(model, count, burn_in=50, thin=5, seed=0,
             for _ in range(thin):
                 run_sweep()
         out[k] = sigma
+    return out
+
+
+def reference_gibbs_sample_potts(A, X, model, beta, count, burn_in=50,
+                                 thin=5, seed=0):
+    """Reference for ``gibbs_sample_potts``: the same scan order, one site
+    at a time, with one ``rng.random()`` call per visit, neighbour label
+    counts kept up to date on each flip, and each draw by
+    ``np.searchsorted``.
+
+    ``gibbs_sample_potts`` draws each sweep's uniforms at once and
+    resamples each colour class at once, and must produce the same bytes.
+    """
+    K = model.n_outputs
+    n = A.n
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, K, size=n)
+    fields = model.eval(np.asarray(X, dtype=float))
+    csr = A._csr
+    neighbours = []
+    for i in range(n):
+        sl = slice(csr.indptr[i], csr.indptr[i + 1])
+        keep = csr.indices[sl] != i
+        neighbours.append((csr.indices[sl][keep], csr.data[sl][keep]))
+    counts = np.zeros((n, K))
+    for i, (idx, vals) in enumerate(neighbours):
+        np.add.at(counts[i], y[idx], vals)
+    order = scan_order(A)[0]
+    out = np.empty((count, n), dtype=np.int64)
+
+    def run_sweep():
+        for i in order:
+            z = fields[i] + beta * counts[i]
+            cum = np.cumsum(np.exp(z - z.max()))
+            new = int(np.searchsorted(cum, rng.random() * cum[-1]))
+            old = y[i]
+            if new != old:
+                idx, vals = neighbours[i]
+                counts[idx, old] -= vals
+                counts[idx, new] += vals
+                y[i] = new
+
+    for _ in range(burn_in):
+        run_sweep()
+    for k in range(count):
+        if k > 0:
+            for _ in range(thin):
+                run_sweep()
+        out[k] = y
     return out
 
 

@@ -207,6 +207,46 @@ class TestExitCodes:
         assert "line 2: weight" in capsys.readouterr().err
         assert not (tmp_path / "samples.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--nodes", FIXTURES / "toy_nodes.csv"],
+        ["--edges", FIXTURES / "toy_edges.txt"],
+        ["--splits", FIXTURES / "toy_splits.json"],
+        ["--edges", FIXTURES / "toy_edges.txt",
+         "--splits", FIXTURES / "toy_splits.json"]])
+    def test_benchmark_needs_nodes_and_edges_together(self, tmp_path, capsys,
+                                                      flags):
+        assert run_cli(["--out-dir", tmp_path, "benchmark",
+                        "--benchmark-seeds", "1", "--model-kind", "linear",
+                        *flags]) == 2
+        assert "--nodes and --edges" in capsys.readouterr().err
+        assert not (tmp_path / "benchmark.csv").exists()
+
+    @pytest.mark.parametrize("formats", ["pdf", "csv,pdf", "csv,", ""])
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_unknown_format_is_refused_at_parse_time(self, tmp_path,
+                                                     monkeypatch, formats,
+                                                     spelling):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli.harness, "rate_experiment", never)
+        if spelling == "flag":
+            argv = ["rate-experiment", "--formats", formats]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"formats": formats}))
+            argv = ["--config", cfg, "rate-experiment"]
+        assert run_cli(["--out-dir", tmp_path, *argv]) == 2
+
+    def test_formats_parse_to_a_tuple(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"formats": "svg"}))
+        for argv, want in ((["--config", str(cfg), "benchmark"], ("svg",)),
+                           (["curie-weiss"], ("csv", "svg")),
+                           (["emit", "--table", "t.csv", "--formats", "csv"],
+                            ("csv",))):
+            assert _parse_with_config(build_parser(), argv).formats == want
+
     def test_invalid_grid_value(self, tmp_path):
         assert run_cli(["--out-dir", tmp_path, "rate-experiment",
                         "--kind", "frobenius_sweep", "--grid", "4,junk",

@@ -178,13 +178,6 @@ class TestSymmetryAndStorage:
         dense = A.dense()
         np.testing.assert_array_equal(dense, dense.T)
 
-    def test_row_offdiag_excludes_diagonal(self):
-        A = InteractionMatrix.block_partition(6, 2)
-        idx, vals = A.row_offdiag(1)
-        assert 1 not in idx
-        assert np.allclose(vals, 1.0 / 3.0)
-        assert set(idx) == {0, 2}
-
 
 class TestEdgeListFormat:
     def test_roundtrip(self):

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 from isingreg import (InteractionMatrix, IsingModel, conditional_mean,
                       exact_summary, gibbs_sample)
 from isingreg.errors import EnumerationCapError
-from isingreg.ising import (_VECTOR_CLASS_MIN, parse_spins, scan_order,
-                           serialize_spins, sweep_distribution)
+from isingreg.ising import (_VECTOR_CLASS_MIN, _colour_classes, parse_spins,
+                           scan_order, serialize_spins, sweep_distribution)
 
-from helpers import (enumeration_conditional, random_graph_matrix,
-                     random_model, random_spins, random_symmetric_matrix,
-                     reference_gibbs_sample)
+from helpers import (REFERENCE_MATRICES, enumeration_conditional,
+                     random_model, random_spins, reference_gibbs_sample)
 
 
 def two_spin_model(beta, h=(0.0, 0.0)):
@@ -151,48 +150,9 @@ class TestGibbs:
             gibbs_sample(model, 1, thin=0)
 
 
-def _weighted_edges_matrix(rng, n=50):
-    """Random weighted pairs, some repeated with different weights, the
-    repeats summed and the matrix not normalized."""
-    pairs = rng.integers(0, n, size=(120, 2))
-    keep = pairs[:, 0] != pairs[:, 1]
-    w = rng.uniform(-0.1, 0.1, size=120)[keep]
-    i, j = pairs[keep].T
-    csr = sp.csr_matrix((np.repeat(w, 2), (np.column_stack([i, j]).ravel(),
-                                           np.column_stack([j, i]).ravel())),
-                        shape=(n, n))
-    return InteractionMatrix(n, csr=csr)
-
-
-def _hub_matrix(rng, n=90):
-    """Nonzero diagonal, so a flip runs the diagonal correction, and one
-    full hub row among short rows."""
-    m = np.zeros((n, n))
-    rows, cols = rng.integers(0, n, size=(2, 2 * n))
-    m[rows, cols] = rng.normal(size=2 * n)
-    m[0, :] = rng.normal(size=n)
-    m = m + m.T
-    np.fill_diagonal(m, rng.uniform(0.1, 0.5, size=n))
-    m /= np.abs(m).sum(axis=1).max()
-    return InteractionMatrix.from_dense(m)
-
-
-REFERENCE_MATRICES = {
-    "block_r1": lambda rng: InteractionMatrix.curie_weiss(60),
-    "block_r4": lambda rng: InteractionMatrix.block_partition(60, 4),
-    "adjacency": lambda rng: random_graph_matrix(rng, 40, p=0.1),
-    "weighted_edges": _weighted_edges_matrix,
-    "dense_hub_diagonal": _hub_matrix,
-    # every colour class is one site
-    "dense_complete": lambda rng: random_symmetric_matrix(rng, 12),
-}
-
-
 def _class_work(A):
     """Sites plus off-diagonal entries of each colour class of ``A``."""
-    order, bounds = scan_order(A)
-    return [sum(1 + len(A.row_offdiag(i)[0]) for i in order[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return [len(sites) + rows.nnz for _, sites, rows in _colour_classes(A)[1]]
 
 
 class TestGibbsMatchesReference:

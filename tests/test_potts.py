@@ -7,7 +7,8 @@ from isingreg import (FunctionClassModel, InteractionMatrix, IsingModel,
                       gibbs_sample, gibbs_sample_potts, potts_conditional,
                       potts_objective_grad, predict_class)
 
-from helpers import (random_graph_matrix, random_symmetric_matrix,
+from helpers import (REFERENCE_MATRICES, random_graph_matrix,
+                     random_symmetric_matrix, reference_gibbs_sample_potts,
                      reference_potts_objective_grad)
 
 
@@ -212,8 +213,8 @@ class TestSampler:
     def test_determinism(self):
         rng = np.random.default_rng(6)
         prob = small_problem(rng)
-        a = gibbs_sample_potts(prob.A, prob.X, prob.model, 0.5, 5, K=3, seed=3)
-        b = gibbs_sample_potts(prob.A, prob.X, prob.model, 0.5, 5, K=3, seed=3)
+        a = gibbs_sample_potts(prob.A, prob.X, prob.model, 0.5, 5, seed=3)
+        b = gibbs_sample_potts(prob.A, prob.X, prob.model, 0.5, 5, seed=3)
         np.testing.assert_array_equal(a, b)
 
     def test_beta_zero_matches_softmax_marginals(self):
@@ -227,7 +228,7 @@ class TestSampler:
         z = X @ W
         probs = np.exp(z - z.max(1, keepdims=True))
         probs /= probs.sum(1, keepdims=True)
-        draws = gibbs_sample_potts(A, X, model, 0.0, 4000, K=K, burn_in=10,
+        draws = gibbs_sample_potts(A, X, model, 0.0, 4000, burn_in=10,
                                    thin=1, seed=11)
         for k in range(K):
             emp = (draws == k).mean(axis=0)
@@ -261,7 +262,7 @@ class TestSampler:
         want = np.stack([(states == k).T @ probs for k in range(K)]).T
 
         m = 8000
-        draws = gibbs_sample_potts(A, X, model, beta, m, K=K, burn_in=100,
+        draws = gibbs_sample_potts(A, X, model, beta, m, burn_in=100,
                                    thin=3, seed=21)
         for k in range(K):
             emp = (draws == k).mean(axis=0)
@@ -280,11 +281,54 @@ class TestSampler:
         f = X @ W
         ising = IsingModel(A, 0.5 * (f[:, 1] - f[:, 0]), beta_ising)
         m = 6000
-        y = gibbs_sample_potts(A, X, model, 2 * beta_ising, m, K=2,
+        y = gibbs_sample_potts(A, X, model, 2 * beta_ising, m,
                                burn_in=100, thin=3, seed=12)
         sig = gibbs_sample(ising, m, burn_in=100, thin=3, seed=13)
         diff = (2.0 * y - 1).mean(axis=0) - sig.mean(axis=0)
         assert np.max(np.abs(diff)) < 0.06
+
+    @pytest.mark.parametrize("kind", ["dense_hub_diagonal", "dense_complete"])
+    def test_diagonal_never_enters_a_conditional(self, kind):
+        rng = np.random.default_rng(34)
+        m = REFERENCE_MATRICES[kind](rng).dense()
+        np.fill_diagonal(m, 0.0)
+        heavy = m + np.diag(rng.uniform(1.0, 2.0, size=len(m)))
+        X = rng.normal(size=(len(m), 2))
+        model = FunctionClassModel.linear(2, n_outputs=3,
+                                          theta=rng.normal(size=(2, 3)),
+                                          l2_radius=None)
+        got, want = (gibbs_sample_potts(InteractionMatrix.from_dense(a), X,
+                                        model, 0.8, 3, burn_in=5, thin=2,
+                                        seed=8)
+                     for a in (heavy, m))
+        assert got.tobytes() == want.tobytes()
+
+
+class TestSamplerMatchesReference:
+    """Byte identity with the per-site reference in ``helpers``."""
+
+    @pytest.mark.parametrize("kind", ["adjacency", "weighted_edges",
+                                      "dense_hub_diagonal", "dense_complete"])
+    @pytest.mark.parametrize("run", ["single", "thinned"])
+    def test_byte_identical(self, kind, run):
+        rng = np.random.default_rng(33)
+        A = REFERENCE_MATRICES[kind](rng)
+        X = rng.normal(size=(A.n, 2))
+        model = FunctionClassModel.linear(2, n_outputs=3,
+                                          theta=rng.normal(size=(2, 3)),
+                                          l2_radius=None)
+        kwargs = {"single": dict(count=1, burn_in=10),
+                  "thinned": dict(count=4, burn_in=5, thin=3)}[run]
+        got = gibbs_sample_potts(A, X, model, 0.8, seed=7, **kwargs)
+        want = reference_gibbs_sample_potts(A, X, model, 0.8, seed=7,
+                                            **kwargs)
+        assert got.tobytes() == want.tobytes()
+
+    def test_block_matrix_is_refused(self):
+        A = InteractionMatrix.block_partition(6, 2)
+        model = FunctionClassModel.linear(2, n_outputs=3, l2_radius=None)
+        with pytest.raises(ValueError):
+            gibbs_sample_potts(A, np.zeros((6, 2)), model, 0.5, 1)
 
 
 class TestFitAndPredict:
