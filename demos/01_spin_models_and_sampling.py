@@ -2,8 +2,10 @@
 
 Builds the three stock interaction matrices (uniform blocks, Curie-Weiss,
 a graph adjacency), compares Gibbs-sampled marginals against exhaustive
-enumeration, and verifies that one full systematic sweep leaves the exact
-distribution unchanged.
+enumeration, and verifies that one sweep of the sampler leaves the exact
+distribution unchanged.  On this block matrix at beta > 0 the sweep is the
+auxiliary-Gaussian two-step update, whose block Gaussians the exact kernel
+integrates out by Gauss-Hermite quadrature.
 """
 
 import numpy as np

@@ -46,8 +46,10 @@ def _load_dataset(args):
 def _formats(text):
     """A --formats value: comma-separated names, each csv or svg."""
     formats = tuple(text.split(","))
-    if not set(formats) <= {"csv", "svg"}:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a subset of csv,svg")
+    known = harness.EMIT_FORMATS
+    if not set(formats) <= set(known):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a subset of {','.join(known)}")
     return formats
 
 

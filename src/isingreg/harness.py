@@ -475,12 +475,20 @@ def _svg_chart(points_by_series, metric, width=640, height=400, pad=56):
     return "\n".join(parts)
 
 
-def emit(table, out_dir, formats=("csv", "svg"), stem="experiment"):
+EMIT_FORMATS = ("csv", "svg")
+
+
+def emit(table, out_dir, formats=EMIT_FORMATS, stem="experiment"):
     """Write the table to ``out_dir``.  CSV is authoritative; SVG draws
     one chart per metric from the per-trial rows (mean over trials at
-    each grid value)."""
+    each grid value).  A format name outside :data:`EMIT_FORMATS` raises
+    ``ValueError`` before anything is written."""
     if not table.rows:
         raise ValueError("refusing to emit an empty table")
+    unknown = sorted(set(formats) - set(EMIT_FORMATS))
+    if unknown:
+        raise ValueError(f"unknown emit formats {unknown}; known: "
+                         f"{', '.join(EMIT_FORMATS)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import logsumexp
 
 from .errors import EnumerationCapError
@@ -32,6 +33,8 @@ DEFAULT_THIN = 5
 # a CSR colour class with fewer sites plus off-diagonal entries than this
 # is resampled site by site: numpy's fixed cost would outweigh its work
 _VECTOR_CLASS_MIN = 64
+# Gauss-Hermite nodes per block Gaussian in sweep_distribution
+_HERMITE_NODES = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,30 +212,61 @@ def _run_chain(run_sweep, state, count, burn_in, thin, dtype):
     return out
 
 
+def _gaussian_coupling(model):
+    """a = beta * v on a block matrix of value v when a >= 0, where
+    :func:`gibbs_sample` runs the auxiliary-Gaussian sweep; else None."""
+    if model.A._block_labels is None:
+        return None
+    a = model.beta * model.A._block_value
+    return a if a >= 0 else None
+
+
 def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
                  seed=0, initial=None):
-    """Single-site Gibbs sampler with a fixed scan order.
+    """Gibbs sampler: ``count`` states of shape (count, n), separated by
+    ``thin`` sweeps after ``burn_in`` sweeps.  Deterministic given
+    ``seed``; the initial state, unless given, is drawn first.
 
-    A sweep visits every site once, in the order of :func:`scan_order`,
-    and resamples it from its conditional law, i.e. sets it to +1 with
-    probability (1 + tanh(beta * local_field_i + h_i)) / 2.  On block
-    matrices the order is 0..n-1; on CSR matrices it goes one colour class
-    of the off-diagonal graph at a time, as the Potts sampler does, and
-    since no two sites of a class interact, resampling a class at once is
-    the same as visiting its sites one by one.  Returns ``count`` states
-    of shape (count, n), separated by ``thin`` full sweeps after
-    ``burn_in`` full sweeps.  Deterministic given ``seed``: each sweep
-    draws n uniforms, and the k-th site in scan order compares the k-th
-    with its probability.
+    On a block matrix of value v with a = beta * v >= 0 a sweep is the
+    auxiliary-Gaussian (Hubbard-Stratonovich) two-step update.  With S_b
+    the spin sum of block b, the law is proportional to
+    exp(a/2 * sum_b S_b^2 + h . sigma), since the stored diagonal only
+    adds a constant, and adding one Gaussian per block leaves it as the
+    sigma-marginal:
 
-    Cost: O(1) Python steps per site visit on block matrices, which keep
-    one running sum per block.  On CSR matrices a colour class is one
-    numpy step: the product of its off-diagonal rows with the spins, one
-    ``np.tanh``, one comparison and one write-back.  A sweep then costs
-    numpy's fixed per-call overhead once per class plus O(nnz) numpy
-    arithmetic.  A class whose sites plus off-diagonal entries number fewer
-    than 64, as on small dense matrices where every class is one site,
-    is visited site by site on Python scalars, in O(row length) per site.
+    1. t_b ~ N(a * S_b, a) for every block, from one
+       ``rng.standard_normal(n_blocks)``, t_b = a * S_b + sqrt(a) * z_b;
+    2. every spin at once: sigma_i = +1 with probability
+       (1 + tanh(t_b(i) + h_i)) / 2, against the i-th of one
+       ``rng.random(n)``.
+
+    Elsewhere a sweep visits every site once, in the order of
+    :func:`scan_order`, and sets it to +1 with probability
+    (1 + tanh(beta * local_field_i + h_i)) / 2, the k-th site in scan
+    order against the k-th of the sweep's ``rng.random(n)``.  That is
+    0..n-1 on a block matrix with a < 0, where no real Gaussian exists.
+    On a CSR matrix it goes one colour class of the off-diagonal graph at
+    a time, as the Potts sampler does; since no two sites of a class
+    interact, resampling a class at once is the same as visiting its
+    sites one by one.
+
+    Cost: a two-step sweep is O(n) numpy, a ``bincount``, one
+    ``np.tanh``, one comparison, with no Python loop over sites.  It
+    mixes more slowly per sweep than a single-site scan: at n=10 and
+    h=0 the second-largest eigenvalue modulus of the exact one-sweep
+    kernel is 0.46 against 0.22 for Curie-Weiss at beta=0.5, and 0.86
+    against 0.58 for 5 blocks at beta=2.  So at beta * ||A||_inf = 0.5
+    the distance to the law shrinks by a factor e about every 1.3 sweeps,
+    well inside the default burn-in of 50.
+    On a block matrix with a < 0 a site visit is O(1) Python steps on
+    scalars, with one running sum per block.  On a CSR matrix a colour
+    class is one numpy step: the product of its off-diagonal rows with
+    the spins, one ``np.tanh``, one comparison and one write-back, so a
+    sweep costs numpy's fixed per-call overhead once per class plus
+    O(nnz) arithmetic.  A class whose sites plus off-diagonal entries
+    number fewer than 64, as on small dense matrices where every class is
+    one site, is visited site by site on Python scalars, in O(row length)
+    per site.
     """
     n = model.n
     rng = np.random.default_rng(seed)
@@ -242,16 +276,28 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
         sigma = _check_spins(initial, n).astype(np.int64)
     beta = model.beta
 
-    if model.A._block_labels is not None:
+    A = model.A
+    a = _gaussian_coupling(model)
+    if a is not None:
+        h, labels = model.h, A._block_labels
+        nblocks = len(A._block_sizes)
+        spins = sigma.astype(float)
+        sd = math.sqrt(a)
+
+        def run_sweep():
+            block_sum = np.bincount(labels, weights=spins, minlength=nblocks)
+            t = a * block_sum + sd * rng.standard_normal(nblocks)
+            p_plus = 0.5 * (1.0 + np.tanh(t[labels] + h))
+            spins[:] = np.where(rng.random(n) < p_plus, 1.0, -1.0)
+    elif A._block_labels is not None:
         # Python scalars: per-site numpy indexing and 0-d ufunc calls cost
         # several times the arithmetic they do
         h = model.h.tolist()
         spins = sigma.tolist()
-        labels = model.A._block_labels.tolist()
-        value = model.A._block_value
-        nblocks = len(model.A._block_sizes)
-        block_sum = np.bincount(model.A._block_labels, weights=sigma,
-                                minlength=nblocks).tolist()
+        labels = A._block_labels.tolist()
+        value = A._block_value
+        block_sum = np.bincount(A._block_labels, weights=sigma,
+                                minlength=len(A._block_sizes)).tolist()
 
         def run_sweep():
             u = rng.random(n).tolist()
@@ -265,7 +311,7 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
                     block_sum[b] += new - s
                     spins[i] = new
     else:
-        off, classes = _colour_classes(model.A)
+        off, classes = _colour_classes(A)
         spins = sigma.astype(float)
         sv = memoryview(spins)
         # one step (first scan position, sites, off-diagonal rows, fields)
@@ -301,9 +347,13 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
 
 
 def sweep_distribution(model, probs):
-    """Push a distribution over all 2^n states through one Gibbs sweep,
-    exactly, visiting the sites in :func:`scan_order` as
-    :func:`gibbs_sample` does.  Used to verify stationarity at small n."""
+    """Push a distribution over all 2^n states through one sweep of
+    :func:`gibbs_sample`, exactly.  Used to verify stationarity at small n.
+
+    Where :func:`gibbs_sample` runs the auxiliary-Gaussian sweep, each
+    block's Gaussian is integrated out by Gauss-Hermite quadrature, one
+    block at a time; elsewhere the sites are visited in
+    :func:`scan_order`."""
     n = model.n
     if n > 14:
         raise EnumerationCapError("dense sweep kernel capped at n=14")
@@ -311,10 +361,33 @@ def sweep_distribution(model, probs):
     if probs.shape != (2 ** n,):
         raise ValueError("distribution length must be 2^n")
     spins = spin_table(n)
-    a_off = model.A.dense()
-    np.fill_diagonal(a_off, 0.0)
     p = probs.copy()
     idx = np.arange(2 ** n, dtype=np.int64)
+    a = _gaussian_coupling(model)
+    if a is not None:
+        nodes, weights = hermegauss(_HERMITE_NODES)
+        weights = weights / weights.sum()
+        labels = model.A._block_labels
+        for b in range(len(model.A._block_sizes)):
+            sites = np.flatnonzero(labels == b)
+            m = len(sites)
+            # t_b at every node, given c of the block's spins are +1
+            t = a * (2.0 * np.arange(m + 1) - m)[:, None] + math.sqrt(a) * nodes
+            # law of the block's new spins, bit j for sites[j], given c
+            law = np.ones(t.shape + (1,))
+            for i in sites.tolist():
+                plus = 0.5 * (1.0 + np.tanh(t + model.h[i]))[..., None]
+                law = np.concatenate([law * (1.0 - plus), law * plus], axis=-1)
+            law = weights @ law
+            c = (spins[:, sites] > 0).sum(axis=1)
+            pattern = ((idx[:, None] >> sites) & 1) @ (1 << np.arange(m))
+            rest = idx & ~int(np.sum(1 << sites))
+            pooled = np.zeros((2 ** n, m + 1))
+            np.add.at(pooled, (rest, c), p)
+            p = np.einsum("sc,cs->s", pooled[rest], law[:, pattern])
+        return p
+    a_off = model.A.dense()
+    np.fill_diagonal(a_off, 0.0)
     for i in scan_order(model.A)[0].tolist():
         bit = 1 << i
         local = spins @ a_off[:, i]          # independent of sigma_i

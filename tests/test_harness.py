@@ -40,6 +40,12 @@ class TestExperimentTable:
         with pytest.raises(ValueError):
             emit(ExperimentTable(), tmp_path)
 
+    @pytest.mark.parametrize("formats", [("pdf",), ("csv", "pdf"), ("",)])
+    def test_emit_refuses_unknown_formats(self, tmp_path, formats):
+        with pytest.raises(ValueError, match="unknown emit formats"):
+            emit(self.make(), tmp_path / "out", formats=formats)
+        assert not (tmp_path / "out").exists()
+
     def test_emit_csv_and_svg(self, tmp_path):
         t = self.make()
         written = emit(t, tmp_path, stem="demo")

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from isingreg import (InteractionMatrix, IsingModel, conditional_mean,
                       exact_summary, gibbs_sample)
@@ -161,9 +164,21 @@ class TestGibbsMatchesReference:
     @pytest.mark.parametrize("kind", sorted(REFERENCE_MATRICES))
     @pytest.mark.parametrize("run", ["single", "initial", "thinned"])
     def test_byte_identical(self, kind, run):
+        self._check(kind, run, 0.8)
+
+    # on block matrices beta > 0 and beta = 0 run the auxiliary-Gaussian
+    # sweep, beta < 0 the single-site one
+    @pytest.mark.parametrize("kind", ["block_r1", "block_r4"])
+    @pytest.mark.parametrize("run", ["single", "initial", "thinned"])
+    @pytest.mark.parametrize("beta", [0.0, -0.8])
+    def test_byte_identical_at_non_positive_beta(self, kind, run, beta):
+        self._check(kind, run, beta)
+
+    @staticmethod
+    def _check(kind, run, beta):
         rng = np.random.default_rng(31)
         A = REFERENCE_MATRICES[kind](rng)
-        model = IsingModel(A, rng.uniform(-0.5, 0.5, size=A.n), 0.8)
+        model = IsingModel(A, rng.uniform(-0.5, 0.5, size=A.n), beta)
         kwargs = {
             "single": dict(count=1, burn_in=10),
             "initial": dict(count=1, burn_in=3,
@@ -247,6 +262,43 @@ class TestSweepStationarity:
         table = exact_summary(model).full_table
         after = sweep_distribution(model, table)
         assert np.max(np.abs(after - table)) <= 1e-10
+
+    @pytest.mark.parametrize("n,r", [(10, 1), (9, 3)])
+    @pytest.mark.parametrize("beta", [0.9, 0.0, -0.9])
+    def test_block_distribution_is_invariant(self, n, r, beta):
+        rng = np.random.default_rng(50 + r)
+        model = IsingModel(InteractionMatrix.block_partition(n, r),
+                           rng.uniform(-1.0, 1.0, size=n), beta)
+        table = exact_summary(model).full_table
+        after = sweep_distribution(model, table)
+        assert np.max(np.abs(after - table)) <= 1e-10
+
+    def test_one_block_sweep_integrates_the_gaussian_out(self):
+        # two blocks of two sites: the row of the two-step kernel, one
+        # Gaussian integral per block by adaptive quadrature
+        n = 4
+        A = InteractionMatrix.block_partition(n, 2)
+        model = IsingModel(A, np.array([0.3, -0.5, 0.1, 0.7]), 1.5)
+        a = model.beta * A._block_value
+        start = 0b0111
+        p = np.zeros(2 ** n)
+        p[start] = 1.0
+        sigma = ((start >> np.arange(n)) & 1) * 2 - 1
+        want = np.ones(2 ** n)
+        for end in range(2 ** n):
+            new = ((end >> np.arange(n)) & 1) * 2 - 1
+            for sites in ([0, 1], [2, 3]):
+                mean, sd = a * sigma[sites].sum(), np.sqrt(a)
+
+                def density(t, sites=sites, mean=mean, sd=sd):
+                    prob = math.exp(-0.5 * ((t - mean) / sd) ** 2)
+                    for i in sites:
+                        prob *= 0.5 * (1.0 + new[i] * math.tanh(t + model.h[i]))
+                    return prob / (sd * math.sqrt(2 * math.pi))
+                want[end] *= quad(density, mean - 12 * sd, mean + 12 * sd,
+                                  epsabs=0, epsrel=1e-12)[0]
+        np.testing.assert_allclose(sweep_distribution(model, p), want,
+                                   rtol=1e-9, atol=0)
 
     def test_one_sweep_visits_sites_in_scan_order(self):
         # a path 0-1-2-3-4: the scan order 0, 2, 4, 1, 3 is not 0..n-1
