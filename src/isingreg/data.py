@@ -81,25 +81,24 @@ def _build_matrix(matrix, n, rng):
 
 
 def gen_synthetic(n, d, matrix, theta_star=None, beta_star=0.0,
-                  feature_law="gaussian_iid", features=None, seed=0,
+                  features=None, seed=0,
                   field_bound=DEFAULT_FIELD_BOUND, burn_in=50, thin=5):
     """Draw one synthetic dependent-labels instance.
 
-    Features follow the requested law, the true field is the linear map
+    Features are ``features`` when given, i.i.d. standard Gaussian
+    otherwise; the true field is the linear map
     h* = X theta* clipped to [-M, M] (the clip count is recorded and a
     clip fraction above 10% aborts), and labels are one Gibbs sample of
     the spin model (A, h*, beta*).  Fully determined by ``seed``.
     """
     rng = np.random.default_rng(seed)
     A = _build_matrix(matrix, n, rng)
-    if feature_law == "gaussian_iid":
+    if features is None:
         X = rng.standard_normal((n, d))
-    elif feature_law == "given":
+    else:
         X = np.asarray(features, dtype=float)
         if X.shape != (n, d):
             raise ValueError("given features have the wrong shape")
-    else:
-        raise ValueError(f"unknown feature law {feature_law!r}")
 
     if theta_star is None:
         theta_star = rng.standard_normal(d)
@@ -131,11 +130,11 @@ def gen_synthetic(n, d, matrix, theta_star=None, beta_star=0.0,
     )
 
 
-def make_splits(labels, fractions=(0.6, 0.2, 0.2), stratified=True, seed=0):
-    """Disjoint, exhaustive train/val/test index sets.
+def make_splits(labels, fractions=(0.6, 0.2, 0.2), seed=0):
+    """Disjoint, exhaustive, stratified train/val/test index sets.
 
-    Stratified mode partitions each class separately so class proportions
-    carry over; remainders are assigned by a seeded shuffle.  A class
+    Each class is partitioned separately so class proportions carry
+    over; remainders are assigned by a seeded shuffle.  A class
     with fewer than 3 members cannot be stratified and goes to train
     with a warning.
     """
@@ -147,12 +146,10 @@ def make_splits(labels, fractions=(0.6, 0.2, 0.2), stratified=True, seed=0):
     parts = {"train": [], "val": [], "test": []}
     names = ("train", "val", "test")
 
-    groups = ([np.flatnonzero(labels == c) for c in np.unique(labels)]
-              if stratified else [np.arange(len(labels))])
-    for members in groups:
-        members = rng.permutation(members)
+    for c in np.unique(labels):
+        members = rng.permutation(np.flatnonzero(labels == c))
         m = len(members)
-        if stratified and m < 3:
+        if m < 3:
             warnings.warn(f"class with {m} members assigned wholly to train",
                           stacklevel=2)
             parts["train"].extend(members.tolist())
@@ -223,8 +220,9 @@ def load_citation(nodes_path, edges_path, splits_path=None):
                     f"{nodes_path.name}:{line_no}: {exc}") from exc
     n = len(ids)
     if len(set(ids)) != n:
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise DuplicateIdError(f"duplicate node ids: {dupes[:5]}")
+        uniq, counts = np.unique(ids, return_counts=True)
+        raise DuplicateIdError(
+            f"duplicate node ids: {uniq[counts > 1][:5].tolist()}")
     if sorted(ids) != list(range(n)):
         raise MalformedRowError("node ids must be exactly 0..n-1")
 

@@ -38,7 +38,8 @@ def psi(h, beta, h_star, beta_star, A):
     At beta = beta* the prefactor kills the bounded tanh term along every
     approach path, so the value is ||h - h*||^2 by continuity.  A is
     applied with its full stored entries (diagonal included): psi is a
-    matrix-analytic quantity, not a conditional law.
+    matrix-analytic quantity, not a conditional law.  The arithmetic is
+    :func:`_psi_terms`, which the complexity search calls as well.
     """
     h = np.asarray(h, dtype=float)
     h_star = np.asarray(h_star, dtype=float)
@@ -48,11 +49,17 @@ def psi(h, beta, h_star, beta_star, A):
     if db == 0.0:
         resid = float(np.sum((h - h_star) ** 2))
         return PsiValue(resid, 0.0, resid)
-    frob = db ** 2 * A.frobenius ** 2
-    arg = (beta_star / db) * (h_star - h) + h_star
-    vec = h - h_star + db * A.matvec(np.tanh(arg))
-    resid = float(vec @ vec)
+    frob, resid = _psi_terms(h - h_star, db, beta_star, h_star, A)
     return PsiValue(frob + resid, frob, resid)
+
+
+def _psi_terms(dh, db, beta_star, h_star, A):
+    """psi's Frobenius and residual terms at h = h* + dh, beta = beta* + db,
+    for db != 0."""
+    frob = db ** 2 * A.frobenius ** 2
+    arg = (beta_star / db) * -dh + h_star
+    vec = dh + db * A.matvec(np.tanh(arg))
+    return frob, float(vec @ vec)
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +73,9 @@ class ComplexityEstimate:
     ``c1_prime`` is the best found value of (||h-h*||^2/n) / psi;
     ``c1`` applies the unit-psi switch (plain squared distance when the
     proximity is below 1); ``c2_prime`` is the analogous ratio with
-    (beta - beta*)^2 in the numerator.  All three are certified lower
-    bounds on the true suprema, with the maximizing witness reported.
+    (beta - beta*)^2 in the numerator, the largest over every psi the
+    c1' search evaluates.  All three are certified lower bounds on the
+    true suprema, with the c1' maximizer reported as the witness.
     """
 
     c1_prime: float
@@ -78,34 +86,34 @@ class ComplexityEstimate:
     degenerate: bool = False
 
 
-def _ratio_for_direction(w_hat, lam, beta_star, h_star, A):
-    """(||h-h*||^2/n) / psi along the ray h = h* + t w_hat, beta = beta* + t lam.
-
-    psi is quadratic along rays, so the ratio depends only on the
-    direction (w_hat, lam):  1 / (n * Q) with
-    Q = lam^2 ||A||_F^2 + || w_hat + lam A tanh( -(beta*/lam) w_hat + h* ) ||^2.
-    """
-    if lam == 0.0:
-        return 1.0 / A.n
-    q = lam ** 2 * A.frobenius ** 2
-    arg = -(beta_star / lam) * w_hat + h_star
-    vec = w_hat + lam * A.matvec(np.tanh(arg))
-    q += float(vec @ vec)
-    return 1.0 / (A.n * q)
+# random start directions of the d > 1 search, besides the d axes
+_RESTARTS = 24
 
 
 def _best_lambda(w_hat, beta_star, h_star, A, lo=1e-6, hi=1e6, grid=49):
-    """Log-grid scan over |lambda| in [lo, hi] for both signs, refined by
-    golden-section search on log|lambda| around the best grid point."""
-    best = (1.0 / A.n, 0.0)
+    """Best slope for the unit field direction ``w_hat``.
+
+    psi is quadratic along the ray h = h* + t w_hat, beta = beta* + t lam,
+    so both ratios depend on the direction only: with Q = psi at t = 1,
+    c1' = 1 / (n Q) and c2' = lam^2 / Q.  A log-grid scan over |lam| in
+    [lo, hi] for both signs is refined by golden-section search for c1'
+    on log|lam| around the best grid point.  Returns (c1', lam, the
+    largest c2' over every evaluated slope, evaluations).
+    """
+    best, best2 = (1.0 / A.n, 0.0), 0.0
+
+    def ratio(lam):
+        nonlocal best2
+        frob, resid = _psi_terms(w_hat, lam, beta_star, h_star, A)
+        q = frob + resid
+        best2 = max(best2, lam ** 2 / q)
+        return 1.0 / (A.n * q)
+
     logs = np.linspace(np.log(lo), np.log(hi), grid)
     evals = 1
     for sign in (1.0, -1.0):
-        vals = []
-        for lg in logs:
-            lam = sign * np.exp(lg)
-            vals.append(_ratio_for_direction(w_hat, lam, beta_star, h_star, A))
-            evals += 1
+        vals = [ratio(sign * np.exp(lg)) for lg in logs]
+        evals += grid
         k = int(np.argmax(vals))
         if vals[k] > best[0]:
             best = (vals[k], sign * np.exp(logs[k]))
@@ -115,40 +123,25 @@ def _best_lambda(w_hat, beta_star, h_star, A, lo=1e-6, hi=1e6, grid=49):
         phi = (np.sqrt(5.0) - 1.0) / 2.0
         x1 = b - phi * (b - a)
         x2 = a + phi * (b - a)
-        f1 = _ratio_for_direction(w_hat, sign * np.exp(x1), beta_star, h_star, A)
-        f2 = _ratio_for_direction(w_hat, sign * np.exp(x2), beta_star, h_star, A)
+        f1 = ratio(sign * np.exp(x1))
+        f2 = ratio(sign * np.exp(x2))
         for _ in range(60):
             evals += 1
             if f1 < f2:
                 a, x1, f1 = x1, x2, f2
                 x2 = a + phi * (b - a)
-                f2 = _ratio_for_direction(w_hat, sign * np.exp(x2),
-                                          beta_star, h_star, A)
+                f2 = ratio(sign * np.exp(x2))
             else:
                 b, x2, f2 = x2, x1, f1
                 x1 = b - phi * (b - a)
-                f1 = _ratio_for_direction(w_hat, sign * np.exp(x1),
-                                          beta_star, h_star, A)
+                f1 = ratio(sign * np.exp(x1))
         fm, lm = max((f1, x1), (f2, x2))
         if fm > best[0]:
             best = (fm, sign * np.exp(lm))
-    return best[0], best[1], evals
+    return best[0], best[1], best2, evals
 
 
-def _ratio2_for_direction(w_hat, lam, beta_star, h_star, A):
-    """(beta - beta*)^2 / psi along the same ray parametrization; equals
-    lam^2 / Q(w_hat, lam) and is capped by 1/||A||_F^2."""
-    if lam == 0.0:
-        return 0.0
-    q = lam ** 2 * A.frobenius ** 2
-    arg = -(beta_star / lam) * w_hat + h_star
-    vec = w_hat + lam * A.matvec(np.tanh(arg))
-    q += float(vec @ vec)
-    return lam ** 2 / q
-
-
-def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0,
-                      restarts=24, seed=0):
+def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0, seed=0):
     """Heuristic supremum of the squared-error-to-psi ratios.
 
     ``family`` is either ``("linear", X, radius)`` (field directions
@@ -156,9 +149,11 @@ def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0,
     radius) or ``("vectors", [h, ...])`` (explicit candidate fields).
     Because the ratios are invariant along rays out of (h*, beta*), the
     search runs over direction x slope pairs: a log-grid over the slope
-    refined by golden-section for d = 1, random restarts plus coordinate
-    ascent over directions otherwise.  The result is a certified LOWER
-    bound on the true supremum, reported with its maximizing witness.
+    refined by golden-section for d = 1, 24 random restarts plus
+    coordinate ascent over directions otherwise.  c1' and c2' come from
+    this one search: every psi it evaluates counts toward both.  The
+    results are certified LOWER bounds on the true suprema, reported
+    with the c1' maximizing witness.
 
     ``c1`` applies the unit-psi switch: along the best ray the value is
     min(ratio, t_max^2 / n) where t_max is the largest feasible step in
@@ -182,7 +177,7 @@ def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0,
         if d == 1:
             us = [np.array([1.0]), np.array([-1.0])]
         else:
-            us = [rng.standard_normal(d) for _ in range(restarts)]
+            us = [rng.standard_normal(d) for _ in range(_RESTARTS)]
             us += [e for e in np.eye(d)]
         for u in us:
             u = u / np.linalg.norm(u)
@@ -203,8 +198,16 @@ def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0,
         return ComplexityEstimate(0.0, 0.0, 0.0, {}, {"evals": 0},
                                   degenerate=True)
 
+    evals, best2 = 0, 0.0
+
+    def search(w_hat):
+        nonlocal evals, best2
+        val, lam, val2, ev = _best_lambda(w_hat, beta_star, h_star, A)
+        evals += ev
+        best2 = max(best2, val2)
+        return val, lam
+
     def refine(u, base_val, base_lam):
-        nonlocal evals
         val, lam, best_u = base_val, base_lam, u
         for _ in range(3):
             improved = False
@@ -216,8 +219,7 @@ def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0,
                     norm = np.linalg.norm(w)
                     if norm <= 1e-12:
                         continue
-                    v, lam_c, ev = _best_lambda(w / norm, beta_star, h_star, A)
-                    evals += ev
+                    v, lam_c = search(w / norm)
                     if v > val:
                         val, lam, best_u = v, lam_c, cand
                         improved = True
@@ -226,18 +228,10 @@ def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0,
         return val, lam, best_u / np.linalg.norm(best_u)
 
     best = (-np.inf, None, None, None)
-    best2 = 0.0
-    evals = 0
     for w_hat, u in directions:
-        val, lam, ev = _best_lambda(w_hat, beta_star, h_star, A)
-        evals += ev
+        val, lam = search(w_hat)
         if val > best[0]:
             best = (val, w_hat, u, lam)
-        for sign in (1.0, -1.0):
-            for lg in np.linspace(np.log(1e-4), np.log(1e4), 33):
-                best2 = max(best2, _ratio2_for_direction(
-                    w_hat, sign * np.exp(lg), beta_star, h_star, A))
-                evals += 1
 
     if kind == "linear" and X.shape[1] > 1:
         val, lam, u = refine(best[2], best[0], best[3])

@@ -121,7 +121,7 @@ def _sweep_instance(kind, x, rng_seed, cfg):
         theta[1:] *= cfg["theta_noise"] / max(np.linalg.norm(theta[1:]), 1e-12)
         return gen_synthetic(n, d, {"kind": "block", "r": r},
                              theta_star=theta, beta_star=cfg["beta_star"],
-                             feature_law="given", features=X, seed=rng_seed)
+                             features=X, seed=rng_seed)
     if kind == "n_sweep_random_features":
         n, d = int(x), cfg["d"]
         theta = rng.standard_normal(d)
@@ -305,8 +305,8 @@ def curie_weiss_experiment(alpha_grid, n, trials, seed=0, theta_star=0.6,
         for ti in range(trials):
             rng_seed = seed + 1000 * gi + ti
             ds = gen_synthetic(n, 1, A, theta_star=np.array([theta_star]),
-                               beta_star=beta_star, feature_law="given",
-                               features=X, seed=rng_seed)
+                               beta_star=beta_star, features=X,
+                               seed=rng_seed)
             model = FunctionClassModel.linear(1, l2_radius=2.0)
             problem = PLProblem(A, X, ds.labels, model, beta_box=1.0)
             res = fit(problem)

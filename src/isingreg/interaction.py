@@ -24,15 +24,16 @@ only.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DanglingEdgeError, MalformedRowError, NumericalFailure
+from .errors import DanglingEdgeError, MalformedRowError
 
-_POWER_ITER_MAX = 1000
-_POWER_ITER_TOL = 1e-10
+# largest n that ``InteractionMatrix.dense`` materializes
+DENSE_CAP = 4096
 # largest |A_ij - A_ji| a CSR matrix may have
 _SYMMETRY_TOL = 1e-12
 
@@ -41,7 +42,8 @@ class InteractionMatrix:
     """Immutable symmetric interaction matrix with cached norms.
 
     A CSR matrix is checked for symmetry entrywise, to within 1e-12, and
-    rejected with ``ValueError`` otherwise.
+    rejected with ``ValueError`` otherwise.  The Frobenius and infinity
+    norms are computed on construction; the spectral norm on first read.
     """
 
     def __init__(self, n, csr=None, block_labels=None, block_value=None):
@@ -71,7 +73,7 @@ class InteractionMatrix:
             self._block_sizes = np.bincount(labels)
         else:
             raise ValueError("need either a CSR matrix or a block description")
-        self.frobenius, self.spectral, self.infinity = self._compute_norms()
+        self.frobenius, self.infinity = self._compute_norms()
 
     # -- construction -------------------------------------------------
 
@@ -148,9 +150,9 @@ class InteractionMatrix:
             full = self._block_value * sums[:, self._block_labels]
         return full - self.diagonal() * states
 
-    def dense(self, cap=4096):
-        if self.n > cap:
-            raise ValueError(f"dense form refused beyond n={cap}")
+    def dense(self):
+        if self.n > DENSE_CAP:
+            raise ValueError(f"dense form refused beyond n={DENSE_CAP}")
         if self._csr is not None:
             return self._csr.toarray()
         same = self._block_labels[:, None] == self._block_labels[None, :]
@@ -160,55 +162,34 @@ class InteractionMatrix:
 
     def _compute_norms(self):
         if self._csr is not None:
-            frob = float(np.sqrt(np.sum(self._csr.data ** 2)))
-            inf = float(np.abs(self._csr).sum(axis=1).max()) if self._csr.nnz else 0.0
             if self._csr.nnz == 0:
-                return 0.0, 0.0, 0.0
-        else:
-            v = self._block_value
-            frob = float(abs(v) * np.sqrt(np.sum(self._block_sizes.astype(float) ** 2)))
-            inf = float(abs(v) * self._block_sizes.max())
+                return 0.0, 0.0
+            frob = float(np.sqrt(np.sum(self._csr.data ** 2)))
+            inf = float(np.abs(self._csr).sum(axis=1).max())
+            return frob, inf
+        v = self._block_value
+        frob = float(abs(v) * np.sqrt(np.sum(self._block_sizes.astype(float) ** 2)))
+        return frob, float(abs(v) * self._block_sizes.max())
+
+    @functools.cached_property
+    def spectral(self):
+        """Largest |eigenvalue|, by Lanczos (ARPACK) on first read."""
+        if self._csr is None:
             # uniform blocks: top |eigenvalue| is value * largest block size
-            return frob, inf, inf
-        try:
-            spec = _power_iteration_spectral(self.matvec, self.n)
-        except NumericalFailure:
-            # near-degenerate top eigenvalues (rings, long paths) stall the
-            # fixed-budget power iteration; Lanczos resolves them
-            spec = float(abs(sp.linalg.eigsh(
-                self._csr, k=1, which="LM", tol=1e-12,
-                v0=np.ones(self.n) / np.sqrt(self.n))[0][0]))
-        return frob, spec, inf
+            return self.infinity
+        if self._csr.nnz == 0:
+            return 0.0
+        if self.n == 1:
+            # ARPACK needs k < n; a 1 x 1 matrix is its own eigenvalue
+            return self.frobenius
+        top = sp.linalg.eigsh(self._csr, k=1, which="LM", tol=1e-12,
+                              v0=np.ones(self.n) / np.sqrt(self.n),
+                              return_eigenvectors=False)
+        return float(abs(top[0]))
 
     def norms(self):
         """(frobenius, spectral, infinity)."""
         return self.frobenius, self.spectral, self.infinity
-
-
-def _power_iteration_spectral(matvec, n, max_iters=_POWER_ITER_MAX,
-                              tol=_POWER_ITER_TOL, seed=0):
-    """Largest |eigenvalue| of a symmetric operator by power iteration.
-
-    Iterates on A^2 (symmetric PSD) so paired +/- eigenvalues cannot make
-    the iteration oscillate; the estimate is sqrt of the top eigenvalue
-    of A^2.  Deterministic seeded start vector.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(max_iters):
-        y = matvec(matvec(x))
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return 0.0
-        new_est = np.sqrt(float(x @ y)) if x @ y > 0 else np.sqrt(norm_y)
-        x = y / norm_y
-        if abs(new_est - est) <= tol * max(1.0, new_est):
-            return float(new_est)
-        est = new_est
-    raise NumericalFailure(
-        f"power iteration did not converge in {max_iters} iterations")
 
 
 def read_edge_list(lines):

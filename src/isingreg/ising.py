@@ -28,6 +28,8 @@ from .errors import EnumerationCapError
 from .interaction import InteractionMatrix
 
 ENUMERATION_CAP = 20
+# configurations per enumeration chunk
+_ENUMERATION_CHUNK = 2 ** 16
 DEFAULT_BURN_IN = 50
 DEFAULT_THIN = 5
 # a CSR colour class with fewer sites plus off-diagonal entries than this
@@ -112,7 +114,7 @@ def _log_weights(model, chunk_spins, a_offdiag):
     return pair + chunk_spins @ model.h
 
 
-def exact_summary(model, chunk_bits=16):
+def exact_summary(model):
     """Exact log-partition, marginals, and pair means by summing all 2^n
     configurations.  Refuses n beyond the enumeration cap."""
     n = model.n
@@ -123,7 +125,7 @@ def exact_summary(model, chunk_bits=16):
     np.fill_diagonal(a_off, 0.0)
 
     total = 2 ** n
-    chunk = min(total, 2 ** chunk_bits)
+    chunk = min(total, _ENUMERATION_CHUNK)
     log_w = np.empty(total)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)

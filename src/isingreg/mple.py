@@ -27,6 +27,8 @@ from .models import FunctionClassModel
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-8
 ARMIJO_C = 1e-4
+# the Barzilai-Borwein trial step is clipped to (0, MAX_STEP]
+MAX_STEP = 1.0
 
 
 def log2cosh(m):
@@ -111,24 +113,26 @@ def neg_log_pl(problem, theta_flat, beta):
     return value, grad_theta, grad_beta
 
 
-def projected_gradient_descent(objective, project, z0, step=1.0,
+def projected_gradient_descent(objective, project, z0,
                                max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL):
     """Monotone projected gradient descent with Armijo backtracking.
 
     The trial step is a Barzilai-Borwein curvature estimate clipped to
-    (0, ``step``], halved until the Armijo condition (constant 1e-4)
+    (0, ``MAX_STEP``], halved until the Armijo condition (constant 1e-4)
     holds.  Deterministic.  Returns (z, value, iterations, pg_norm,
     stop_reason), where pg_norm is the unit-step projected-gradient norm
     and stop_reason is ``"tol"`` (pg_norm reached ``tol``),
     ``"no_descent"`` (the line search found no lower value) or
-    ``"max_iters"``.
+    ``"max_iters"``.  ``max_iters`` below 1 raises ``ValueError``.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     z = project(np.asarray(z0, dtype=float))
     value, grad = objective(z)
     if not np.isfinite(value):
         raise NumericalFailure("objective is non-finite at the starting point")
 
-    max_step = step
+    step = MAX_STEP
     prev_z = prev_grad = None
     pg_norm = np.inf
     iters = 0
@@ -143,7 +147,7 @@ def projected_gradient_descent(objective, project, z0, step=1.0,
             curv = float(dz @ dg)
             if curv > 0:
                 step = float(dz @ dz) / curv
-        step = min(max(step, 1e-16), max_step)
+        step = min(max(step, 1e-16), MAX_STEP)
         moved = False
         while step > 1e-18:
             z_new = project(z - step * grad)
@@ -164,7 +168,7 @@ def projected_gradient_descent(objective, project, z0, step=1.0,
     return z, value, iters, pg_norm, "max_iters"
 
 
-def fit(problem, beta_frozen=None, step=1.0, max_iters=DEFAULT_MAX_ITERS,
+def fit(problem, beta_frozen=None, max_iters=DEFAULT_MAX_ITERS,
         tol=DEFAULT_TOL, theta0=None, beta0=0.0):
     """Projected gradient descent on (theta, beta) jointly.
 
@@ -175,12 +179,11 @@ def fit(problem, beta_frozen=None, step=1.0, max_iters=DEFAULT_MAX_ITERS,
     field models the objective is convex, so the result is a global
     minimizer up to that tolerance.
     """
-    return _fit_pgd(problem, neg_log_pl, beta_frozen, step, max_iters, tol,
-                    theta0, beta0)
+    return _fit_pgd(problem, neg_log_pl, beta_frozen, max_iters, tol, theta0,
+                    beta0)
 
 
-def _fit_pgd(problem, objective, beta_frozen, step, max_iters, tol, theta0,
-             beta0):
+def _fit_pgd(problem, objective, beta_frozen, max_iters, tol, theta0, beta0):
     """The fit driver shared by :func:`fit` and
     :func:`isingreg.potts.fit_potts`: projected gradient descent on the
     stacked iterate z = (theta..., beta), where ``objective(problem,
@@ -206,7 +209,7 @@ def _fit_pgd(problem, objective, beta_frozen, step, max_iters, tol, theta0,
         return value, grad
 
     z, value, iters, pg_norm, stop_reason = projected_gradient_descent(
-        value_grad, project, z0, step=step, max_iters=max_iters, tol=tol)
+        value_grad, project, z0, max_iters=max_iters, tol=tol)
 
     fitted = model.with_flat(z[:-1])
     return FitResult(

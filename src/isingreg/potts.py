@@ -167,15 +167,15 @@ def gibbs_sample_potts(A, X, model, beta, count, burn_in=50, thin=5, seed=0):
     return _run_chain(run_sweep, y, count, burn_in, thin, np.int64)
 
 
-def fit_potts(problem, beta_frozen=None, step=1.0, max_iters=DEFAULT_MAX_ITERS,
+def fit_potts(problem, beta_frozen=None, max_iters=DEFAULT_MAX_ITERS,
               tol=DEFAULT_TOL, theta0=None, beta0=0.0):
     """Projected gradient descent on the Potts pseudo-likelihood.
 
     Same optimizer contract as :func:`isingreg.mple.fit`; convex for
     linear field models, local optimum for MLPs.
     """
-    return _fit_pgd(problem, potts_objective_grad, beta_frozen, step,
-                    max_iters, tol, theta0, beta0)
+    return _fit_pgd(problem, potts_objective_grad, beta_frozen, max_iters,
+                    tol, theta0, beta0)
 
 
 def predict_class(A, X, model, beta, known_idx, known_labels, targets):

@@ -192,6 +192,18 @@ class TestExitCodes:
                         "--nodes", nodes, "--edges", tmp_path / "edges.txt",
                         "--model", "linear", "--max-iters", "5"]) == 2
 
+    @pytest.mark.parametrize("iters", ["0", "-1"])
+    def test_non_positive_max_iters_is_config_error(self, tmp_path, iters):
+        # no iteration means no gradient norm: refuse rather than write
+        # an infinite one into fit.json
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("id,label,f1\n0,1,1.0\n1,-1,0.5\n2,1,-0.25\n")
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+        assert run_cli(["--out-dir", tmp_path, "fit",
+                        "--nodes", nodes, "--edges", tmp_path / "edges.txt",
+                        "--model", "linear", "--max-iters", iters]) == 2
+        assert not (tmp_path / "fit.json").exists()
+
     def test_sample_edges_without_edge_file(self, tmp_path):
         assert run_cli(["--out-dir", tmp_path, "sample", "--n", "4",
                         "--matrix", "edges"]) == 2

@@ -44,7 +44,7 @@ class TestGenSynthetic:
         marg = exact_summary(IsingModel(A, X[:, 0] * 0.5, 0.4)).marginal_means
         draws = np.stack([
             gen_synthetic(n=n, d=1, matrix=A, theta_star=theta, beta_star=0.4,
-                          feature_law="given", features=X, seed=s).labels
+                          features=X, seed=s).labels
             for s in range(3000)
         ])
         emp = draws.mean(axis=0)
@@ -55,22 +55,21 @@ class TestGenSynthetic:
         n = 50
         clean = np.full((n, 1), 3.0)
         ds = gen_synthetic(n=n, d=1, matrix={"kind": "curie_weiss"},
-                           theta_star=np.array([1.0]), feature_law="given",
-                           features=clean, field_bound=5.0, seed=0)
+                           theta_star=np.array([1.0]), features=clean,
+                           field_bound=5.0, seed=0)
         assert ds.ground_truth["clipped"] == 0
 
         spread = np.linspace(2.0, 5.2, n)[:, None]  # 3 entries above 5.0
         with pytest.warns(UserWarning):
             ds2 = gen_synthetic(n=n, d=1, matrix={"kind": "curie_weiss"},
-                                theta_star=np.array([1.0]),
-                                feature_law="given", features=spread,
+                                theta_star=np.array([1.0]), features=spread,
                                 field_bound=5.0, seed=0)
         assert ds2.ground_truth["clipped"] == int(np.sum(spread > 5.0))
 
         with pytest.raises(ValueError, match="clipped"):
             gen_synthetic(n=n, d=1, matrix={"kind": "curie_weiss"},
-                          theta_star=np.array([2.0]), feature_law="given",
-                          features=clean, field_bound=5.0, seed=0)
+                          theta_star=np.array([2.0]), features=clean,
+                          field_bound=5.0, seed=0)
 
 
     @pytest.mark.parametrize("seed", range(4))
@@ -209,6 +208,15 @@ class TestCitationFormat:
         nodes.write_text("id,label,f1\n0,0,1.0\n0,1,2.0\n")
         (tmp_path / "edges.txt").write_text("0 1\n")
         with pytest.raises(DuplicateIdError):
+            load_citation(nodes, tmp_path / "edges.txt")
+
+    def test_duplicate_ids_are_listed_in_ascending_order(self, tmp_path):
+        nodes = tmp_path / "nodes.csv"
+        rows = ["id,label,f1"] + [f"{i},0,1.0" for i in (7, 3, 0, 7, 5, 3, 1)]
+        nodes.write_text("\n".join(rows) + "\n")
+        (tmp_path / "edges.txt").write_text("0 1\n")
+        with pytest.raises(DuplicateIdError,
+                           match=r"^duplicate node ids: \[3, 7\]$"):
             load_citation(nodes, tmp_path / "edges.txt")
 
     def test_dangling_edge(self, tmp_path):

@@ -6,7 +6,6 @@ from isingreg import (InteractionMatrix, IsingModel, c1_prime_estimate,
                       curie_weiss_rate, exact_summary,
                       exchangeable_pairs_test, kappa_and_restricted_eig,
                       kl_tv_exact, psi)
-from isingreg.diagnostics import _ratio_for_direction
 from isingreg.errors import EnumerationCapError
 from isingreg.harness import solve_mean_field_fixpoint
 
@@ -91,9 +90,11 @@ class TestComplexityEstimate:
         est = c1_prime_estimate(("linear", x, 4.0), np.ones(n), 0.5, A,
                                 beta_box=1.0)
         a = A_FIX
-        at_witness = _ratio_for_direction(np.ones(n) / np.sqrt(n),
-                                          -1.0 / (a * np.sqrt(n)),
-                                          0.5, np.ones(n), A)
+        # the ray's unit point: h = h* + 1/sqrt(n), beta = beta* - 1/(a sqrt(n))
+        ones = np.ones(n)
+        at_witness = 1.0 / (n * psi(ones + ones / np.sqrt(n),
+                                    0.5 - 1.0 / (a * np.sqrt(n)),
+                                    ones, 0.5, A).value)
         assert at_witness == pytest.approx(a * a / r, abs=1e-3)
         assert est.c1_prime >= at_witness - 1e-9
 
@@ -129,6 +130,21 @@ class TestComplexityEstimate:
         # c2' is capped by 1/||A||_F^2 unconditionally
         assert est.c2_prime <= (1.0 + 1e-9) / A.frobenius ** 2
         assert est.c1 <= est.c1_prime + 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_origin_ratios_are_exact(self, seed):
+        # at h* = 0, beta* = 0 (where `diagnose` evaluates) psi along a ray
+        # is |w|^2 + lam^2 ||A||_F^2, so c1' = 1/n at lam = 0 and c2' tends
+        # to 1/||A||_F^2 as |lam| grows
+        rng = np.random.default_rng(40 + seed)
+        n = int(rng.integers(20, 40))
+        A = random_symmetric_matrix(rng, n)
+        X = rng.standard_normal((n, 3))
+        est = c1_prime_estimate(("linear", X, 1.0), np.zeros(n), 0.0, A,
+                                seed=seed)
+        assert est.c1_prime == 1.0 / n
+        assert est.c2_prime == pytest.approx(1.0 / A.frobenius ** 2,
+                                             rel=1e-11)
 
     def test_vectors_family(self):
         rng = np.random.default_rng(9)

@@ -4,10 +4,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from isingreg import InteractionMatrix
-from isingreg.errors import (DanglingEdgeError, MalformedRowError,
-                             NumericalFailure)
-from isingreg.interaction import (_power_iteration_spectral, from_weighted_edges,
-                                  read_edge_list, write_edge_list)
+from isingreg.errors import DanglingEdgeError, MalformedRowError
+from isingreg.interaction import (from_weighted_edges, read_edge_list,
+                                  write_edge_list)
 
 from helpers import random_graph_matrix, random_symmetric_matrix
 
@@ -101,20 +100,37 @@ class TestNorms:
         assert A.spectral <= A.infinity + 1e-9
         assert A.frobenius <= np.sqrt(n) * A.spectral + 1e-9
 
-    def test_power_iteration_nonconvergence_raises(self):
-        # 2x2 with equal +/- eigenvalues converges via the A^2 trick;
-        # force failure with an absurd tolerance budget instead
-        A = np.diag([1.0, 1.0 - 1e-13])
-        with pytest.raises(NumericalFailure):
-            _power_iteration_spectral(lambda v: A @ v, 2, max_iters=2, tol=1e-30)
-
-    def test_ring_lattice_falls_back_to_lanczos(self):
-        # near-degenerate spectrum stalls the power iteration; the
-        # constructor must still produce the right value
+    def test_ring_lattice_spectral(self):
+        # a near-degenerate top of the spectrum, where the start vector
+        # ones/sqrt(n) is itself a top eigenvector
         n = 120
         edges = [(i, (i + 1) % n) for i in range(n)]
         edges += [(i, (i + 2) % n) for i in range(n)]
         A = InteractionMatrix.from_adjacency(edges, n)
+        oracle = np.max(np.abs(np.linalg.eigvalsh(A.dense())))
+        assert A.spectral == pytest.approx(oracle, abs=1e-8)
+
+    def test_build_runs_no_eigensolver(self, monkeypatch):
+        calls = []
+        real = sp.linalg.eigsh
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sp.linalg, "eigsh", spy)
+        rng = np.random.default_rng(3)
+        A = random_symmetric_matrix(rng, 12)
+        B = from_weighted_edges([(0, 1, 1.0), (1, 2, 0.5)], 3)
+        assert calls == []
+        oracle = np.max(np.abs(np.linalg.eigvalsh(A.dense())))
+        assert A.spectral == pytest.approx(oracle, abs=1e-8)
+        assert A.spectral == A.norms()[1]
+        assert len(calls) == 1
+        assert B.spectral > 0.0 and len(calls) == 2
+
+    def test_single_node_spectral(self):
+        A = InteractionMatrix.from_dense([[0.5]])
         oracle = np.max(np.abs(np.linalg.eigvalsh(A.dense())))
         assert A.spectral == pytest.approx(oracle, abs=1e-8)
 
