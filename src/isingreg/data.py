@@ -23,8 +23,11 @@ from .interaction import (InteractionMatrix, from_weighted_edges,
                           read_edge_list, write_edge_list)
 from .ising import IsingModel, gibbs_sample
 
-DEFAULT_FIELD_BOUND = 5.0
+# the bound M on |h*| of a synthetic instance
+FIELD_BOUND = 5.0
 MAX_CLIP_FRACTION = 0.10
+# train / val / test shares of every class in make_splits
+SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 
 
 @dataclass(eq=False)
@@ -58,11 +61,11 @@ class Dataset:
         }
 
 
-def _build_matrix(matrix, n, rng):
+def _build_matrix(matrix, n):
     """Interpret a matrix construction request.
 
     Accepts an InteractionMatrix directly, or a dict
-    ``{"kind": "block"|"curie_weiss"|"erdos_renyi", ...params}``.
+    ``{"kind": "block", "r": r}`` or ``{"kind": "curie_weiss"}``.
     """
     if isinstance(matrix, InteractionMatrix):
         if matrix.n != n:
@@ -73,26 +76,23 @@ def _build_matrix(matrix, n, rng):
         return InteractionMatrix.block_partition(n, matrix["r"])
     if kind == "curie_weiss":
         return InteractionMatrix.curie_weiss(n)
-    if kind == "erdos_renyi":
-        p = matrix.get("p", 2.0 * np.log(n) / n)
-        i, j = np.nonzero(np.triu(rng.random((n, n)) < p, 1))
-        return InteractionMatrix.from_adjacency(zip(i.tolist(), j.tolist()), n)
     raise ValueError(f"unknown matrix construction {kind!r}")
 
 
 def gen_synthetic(n, d, matrix, theta_star=None, beta_star=0.0,
-                  features=None, seed=0,
-                  field_bound=DEFAULT_FIELD_BOUND, burn_in=50, thin=5):
+                  features=None, seed=0, burn_in=50, thin=5):
     """Draw one synthetic dependent-labels instance.
 
-    Features are ``features`` when given, i.i.d. standard Gaussian
-    otherwise; the true field is the linear map
-    h* = X theta* clipped to [-M, M] (the clip count is recorded and a
-    clip fraction above 10% aborts), and labels are one Gibbs sample of
-    the spin model (A, h*, beta*).  Fully determined by ``seed``.
+    ``matrix`` is an InteractionMatrix of size n or a request that
+    ``_build_matrix`` reads (block or Curie-Weiss).  Features are
+    ``features`` when given, i.i.d. standard Gaussian otherwise; the true
+    field is the linear map h* = X theta* clipped to [-M, M] with
+    M = :data:`FIELD_BOUND` (the clip count is recorded and a clip fraction
+    above 10% aborts), and labels are one Gibbs sample of the spin model
+    (A, h*, beta*).  Fully determined by ``seed``.
     """
     rng = np.random.default_rng(seed)
-    A = _build_matrix(matrix, n, rng)
+    A = _build_matrix(matrix, n)
     if features is None:
         X = rng.standard_normal((n, d))
     else:
@@ -107,11 +107,11 @@ def gen_synthetic(n, d, matrix, theta_star=None, beta_star=0.0,
         theta_star = np.asarray(theta_star, dtype=float)
 
     h_raw = X @ theta_star
-    h = np.clip(h_raw, -field_bound, field_bound)
+    h = np.clip(h_raw, -FIELD_BOUND, FIELD_BOUND)
     clipped = int(np.sum(h != h_raw))
     if clipped > MAX_CLIP_FRACTION * n:
         raise ValueError(
-            f"{clipped}/{n} fields clipped to [-{field_bound}, {field_bound}]: "
+            f"{clipped}/{n} fields clipped to [-{FIELD_BOUND}, {FIELD_BOUND}]: "
             "the bounded-field assumption is violated by this configuration")
     if clipped:
         warnings.warn(f"clipped {clipped} field entries to the bound",
@@ -130,17 +130,15 @@ def gen_synthetic(n, d, matrix, theta_star=None, beta_star=0.0,
     )
 
 
-def make_splits(labels, fractions=(0.6, 0.2, 0.2), seed=0):
-    """Disjoint, exhaustive, stratified train/val/test index sets.
+def make_splits(labels, seed=0):
+    """Disjoint, exhaustive, stratified train/val/test index sets in the
+    fixed proportions :data:`SPLIT_FRACTIONS`.
 
     Each class is partitioned separately so class proportions carry
     over; remainders are assigned by a seeded shuffle.  A class
     with fewer than 3 members cannot be stratified and goes to train
     with a warning.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     parts = {"train": [], "val": [], "test": []}
@@ -156,10 +154,11 @@ def make_splits(labels, fractions=(0.6, 0.2, 0.2), seed=0):
             continue
         # largest-remainder counts are seed-independent; which members land
         # where follows the seeded shuffle above
-        counts = [int(np.floor(f * m)) for f in fractions]
+        counts = [int(np.floor(f * m)) for f in SPLIT_FRACTIONS]
         leftovers = m - sum(counts)
-        residuals = sorted(range(3), key=lambda k: (fractions[k] * m - counts[k], -k),
-                           reverse=True)
+        residuals = sorted(
+            range(3), key=lambda k: (SPLIT_FRACTIONS[k] * m - counts[k], -k),
+            reverse=True)
         for k in residuals[:leftovers]:
             counts[k] += 1
         at = 0

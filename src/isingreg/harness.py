@@ -10,6 +10,7 @@ charts.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -53,17 +54,10 @@ class ExperimentTable:
     def metrics(self):
         return sorted({r["metric"] for r in self.rows})
 
-    def values(self, metric, experiment=None, trial=None):
-        out = []
-        for r in self.sorted_rows():
-            if r["metric"] != metric:
-                continue
-            if experiment is not None and r["experiment"] != experiment:
-                continue
-            if trial is not None and r["trial"] != trial:
-                continue
-            out.append((json.loads(r["config"]), r["value"]))
-        return out
+    def values(self, metric):
+        """(config dict, value) of every row of ``metric``, in sorted order."""
+        return [(json.loads(r["config"]), r["value"])
+                for r in self.sorted_rows() if r["metric"] == metric]
 
     def to_csv(self):
         buf = io.StringIO()
@@ -76,22 +70,28 @@ class ExperimentTable:
 
     @staticmethod
     def from_csv(text):
-        import csv as _csv
-
+        """Parse :meth:`to_csv` output.  An empty text, another header, or
+        a row that is not six fields with a JSON config, an integer trial
+        and seed and a numeric value raises ``ValueError`` naming its
+        line."""
         table = ExperimentTable()
-        reader = _csv.reader(io.StringIO(text))
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            table.rows.append({
-                "experiment": row[0],
-                "config": row[1],
-                "trial": int(row[2]),
-                "seed": int(row[3]),
-                "metric": row[4],
-                "value": float(row[5]),
-            })
+        reader = csv.reader(io.StringIO(text))
+        try:
+            if tuple(next(reader, ())) != CSV_COLUMNS:
+                raise ValueError(f"the header is not {','.join(CSV_COLUMNS)}")
+            for row in reader:
+                experiment, config, trial, seed, metric, value = row
+                json.loads(config)
+                table.rows.append({
+                    "experiment": experiment,
+                    "config": config,
+                    "trial": int(trial),
+                    "seed": int(seed),
+                    "metric": metric,
+                    "value": float(value),
+                })
+        except ValueError as exc:
+            raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from exc
         return table
 
 
@@ -166,10 +166,13 @@ def rate_experiment(kind, grid, trials, seed=0, **overrides):
     Records per-trial squared parameter errors, the field MSE, the design
     kappa, and ||A||_F^2, plus aggregate mean rows and the log-log slope
     of the mean squared theta error against the grid variable.  Fit
-    failures are recorded per row rather than aborting the sweep.
+    failures are recorded per row rather than aborting the sweep.  An
+    empty grid or ``trials < 1`` raises ``ValueError`` before any draw.
     """
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     cfg = dict(SWEEP_DEFAULTS[kind])
     cfg.update(overrides)
     table = ExperimentTable()
@@ -223,11 +226,12 @@ def rate_experiment(kind, grid, trials, seed=0, **overrides):
 # lower-bound demo
 # ---------------------------------------------------------------------------
 
-def solve_mean_field_fixpoint(tol=1e-12):
-    """Nonnegative solution of tanh(1 + a/2) = a by bisection on [0, 1]."""
+def solve_mean_field_fixpoint():
+    """Nonnegative solution of tanh(1 + a/2) = a by bisection on [0, 1],
+    to an interval width of 1e-12."""
     lo, hi = 0.0, 1.0
     assert np.tanh(1.0 + lo / 2.0) - lo > 0 and np.tanh(1.0 + hi / 2.0) - hi < 0
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if np.tanh(1.0 + mid / 2.0) - mid > 0:
             lo = mid
@@ -285,11 +289,15 @@ def lower_bound_demo(n, r, c0=0.1):
 # Curie-Weiss experiment
 # ---------------------------------------------------------------------------
 
-def curie_weiss_experiment(alpha_grid, n, trials, seed=0, theta_star=0.6,
-                           beta_star=0.3):
+def curie_weiss_experiment(alpha_grid, n, trials, seed=0):
     """Scalar-theta estimation on the all-(1/n) matrix with a +/-1 field
-    pattern; the estimation difficulty is governed by how far the pattern
-    is from the constant vector (the residual column)."""
+    pattern, at theta* = 0.6 and beta* = 0.3; the estimation difficulty is
+    governed by how far the pattern is from the constant vector (the
+    residual column).  ``trials < 1`` raises ``ValueError`` before any
+    draw."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    theta_star, beta_star = 0.6, 0.3
     table = ExperimentTable()
     A = InteractionMatrix.curie_weiss(n)
     for gi, alpha in enumerate(alpha_grid):
@@ -324,61 +332,61 @@ def curie_weiss_experiment(alpha_grid, n, trials, seed=0, theta_star=0.6,
 # benchmark
 # ---------------------------------------------------------------------------
 
-def planted_potts_dataset(n=200, K=3, d=None, seed=0, beta_star=0.5,
-                          p_in=0.10, p_out=0.006, signal=2.0,
-                          informative_fraction=0.5, field_scale=1.0,
-                          fractions=(0.6, 0.2, 0.2)):
+def planted_potts_dataset(n=200, K=3, seed=0, beta_star=0.5):
     """Node-classification instance with a planted dependency strength.
 
-    Latent prototypes drive a homophilic stochastic-block graph
-    (normalized by maximum degree) and class-indicator features that are
-    informative only for a fraction of the nodes; labels are one Potts
-    Gibbs sample whose field is a linear map of the features at the given
-    interaction strength.  Uninformative nodes are where neighbor labels
-    carry signal the features lack.  With beta_star = 0 the labels are
-    conditionally independent given the features.
+    Latent prototypes drive a homophilic stochastic-block graph (edge
+    probability 0.10 within a prototype and 0.006 across, normalized by
+    maximum degree) and K class-indicator features: a random half of the
+    nodes get +2 on their prototype's feature, the rest carry no signal.
+    Labels are one Potts Gibbs sample whose field is the identity map of
+    the features at the given interaction strength.  Uninformative nodes
+    are where neighbor labels carry signal the features lack.  With
+    beta_star = 0 the labels are conditionally independent given the
+    features.  Splits are :func:`make_splits` at seed + 2.
     """
-    d = K if d is None else d
     rng = np.random.default_rng(seed)
     prototypes = rng.integers(0, K, size=n)
     # one uniform per pair i < j, in row-major order
     i, j = np.triu_indices(n, 1)
-    p = np.where(prototypes[i] == prototypes[j], p_in, p_out)
+    p = np.where(prototypes[i] == prototypes[j], 0.10, 0.006)
     hit = rng.random(len(i)) < p
     edges = [(a, b, 1.0) for a, b in zip(i[hit].tolist(), j[hit].tolist())]
     A = from_weighted_edges(edges, n)
 
-    X = rng.standard_normal((n, d))
-    informative = rng.random(n) < informative_fraction
-    X[informative, prototypes[informative] % d] += signal
+    X = rng.standard_normal((n, K))
+    informative = rng.random(n) < 0.5
+    X[informative, prototypes[informative]] += 2.0
 
-    w_true = np.zeros((d, K))
-    w_true[np.arange(K) % d, np.arange(K)] = field_scale
-    truth = FunctionClassModel.linear(d, n_outputs=K, theta=w_true,
+    w_true = np.eye(K)
+    truth = FunctionClassModel.linear(K, n_outputs=K, theta=w_true,
                                       l2_radius=None)
     y = gibbs_sample_potts(A, X, truth, beta_star, 1, burn_in=60,
                            seed=seed + 1)[0]
-    splits = make_splits(y, fractions=fractions, seed=seed + 2)
+    splits = make_splits(y, seed=seed + 2)
     return Dataset(X=X, labels=y, A=A, splits=splits,
                    ground_truth={"beta": beta_star, "W": w_true},
                    edges=edges)
 
 
 def accuracy_benchmark(dataset, seeds, model_kind="mlp2", width=32,
-                       beta_box=1.0, l2_radius=None, max_iters=400,
-                       tol=1e-6, dataset_name="planted"):
+                       dataset_name="planted"):
     """MPLE-0 vs MPLE-beta test accuracy over seeds, Table-style schema.
 
-    Both methods fit the same field model on the train split (neighbor
-    counts from train labels only); at test time predictions condition on
-    the train and validation labels, never on test labels or features
-    during training.  The MPLE-beta run warm-starts from the converged
-    MPLE-0 field parameters, so for non-convex field models the
+    Both methods fit the same unconstrained field model on the train
+    split (neighbor counts from train labels only), with |beta| <= 1, at
+    most 400 iterations and tolerance 1e-6; at test time predictions
+    condition on the train and validation labels, never on test labels
+    or features during training.  The MPLE-beta run warm-starts from the
+    converged MPLE-0 field parameters, so for non-convex field models the
     comparison isolates what the interaction term adds rather than which
-    local optimum each run happens to find.
+    local optimum each run happens to find.  Empty ``seeds`` raise
+    ``ValueError``.
     """
     if not dataset.splits:
         raise ValueError("dataset has no splits")
+    if len(seeds) == 0:
+        raise ValueError("seeds must be nonempty")
     K = int(dataset.labels.max()) + 1
     train = dataset.splits["train"]
     val = dataset.splits["val"]
@@ -389,19 +397,18 @@ def accuracy_benchmark(dataset, seeds, model_kind="mlp2", width=32,
     for ti, s in enumerate(seeds):
         if model_kind == "mlp2":
             model = FunctionClassModel.mlp2(dataset.X.shape[1], n_outputs=K,
-                                            width=width, seed=s,
-                                            l2_radius=l2_radius)
+                                            width=width, seed=s)
         else:
             model = FunctionClassModel.linear(dataset.X.shape[1], n_outputs=K,
-                                              l2_radius=l2_radius)
+                                              l2_radius=None)
         theta0 = model.flatten()
         problem = PottsProblem(K, dataset.A, dataset.X, dataset.labels, model,
-                               beta_box=beta_box, sites=train, known=train)
+                               beta_box=1.0, sites=train, known=train)
         config = {"kind": "benchmark", "dataset": dataset_name,
                   "model": model_kind, "width": width, "x": float(ti)}
         for method, frozen in (("mple0", 0.0), ("mpleb", None)):
-            res = fit_potts(problem, beta_frozen=frozen, max_iters=max_iters,
-                            tol=tol, theta0=theta0)
+            res = fit_potts(problem, beta_frozen=frozen, max_iters=400,
+                            tol=1e-6, theta0=theta0)
             if frozen == 0.0:
                 theta0 = res.model.flatten()
             pred = predict_class(dataset.A, dataset.X, res.model, res.beta_hat,
@@ -427,9 +434,10 @@ def accuracy_benchmark(dataset, seeds, model_kind="mlp2", width=32,
 # emission
 # ---------------------------------------------------------------------------
 
-def _svg_chart(points_by_series, metric, width=640, height=400, pad=56):
-    """Minimal hand-rolled SVG: one polyline per series, log-log axes when
-    all coordinates are positive."""
+def _svg_chart(points_by_series, metric):
+    """Minimal hand-rolled 640 x 400 SVG: one polyline per series, log-log
+    axes when all coordinates are positive."""
+    width, height, pad = 640, 400, 56
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">']
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
@@ -512,7 +520,6 @@ def emit(table, out_dir, formats=EMIT_FORMATS, stem="experiment"):
                 name: sorted((x, float(np.mean(vs))) for x, vs in by_x.items())
                 for name, by_x in series.items() if by_x
             }
-            points = {k: v for k, v in points.items() if len(v) >= 1}
             if not points:
                 continue
             path = out_dir / f"{stem}_{metric}.svg"

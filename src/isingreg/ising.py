@@ -41,17 +41,11 @@ _HERMITE_NODES = 80
 
 @dataclass(frozen=True, eq=False)
 class IsingModel:
-    """Interaction matrix, external field, inverse temperature.
-
-    ``field_bound`` (M) and ``beta_bound`` (B) are optional declared bounds;
-    when given, the parameters are validated against them at construction.
-    """
+    """Interaction matrix, external field, inverse temperature."""
 
     A: InteractionMatrix
     h: np.ndarray
     beta: float
-    field_bound: float | None = None
-    beta_bound: float | None = None
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
@@ -59,10 +53,6 @@ class IsingModel:
         object.__setattr__(self, "beta", float(self.beta))
         if h.shape != (self.A.n,):
             raise ValueError("field length does not match node count")
-        if self.field_bound is not None and np.max(np.abs(h), initial=0.0) > self.field_bound:
-            raise ValueError("external field exceeds the declared bound M")
-        if self.beta_bound is not None and abs(self.beta) > self.beta_bound:
-            raise ValueError("beta exceeds the declared bound B")
 
     @property
     def n(self):

@@ -160,9 +160,6 @@ class FunctionClassModel:
     def project_flat(self, vec):
         return project_params(vec, self.l2_radius, self.l1_radius)
 
-    def project(self):
-        return self.with_flat(self.project_flat(self.flatten()))
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self):

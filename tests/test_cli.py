@@ -264,6 +264,35 @@ class TestExitCodes:
                         "--kind", "frobenius_sweep", "--grid", "4,junk",
                         "--trials", "1"]) == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("experiment,config,trial,seed,metric,value\nexp,{},0,7\n", 2),
+    ], ids=["empty", "short_row"])
+    def test_bad_table_is_config_error(self, tmp_path, capsys, text, line):
+        table = tmp_path / "t.csv"
+        table.write_text(text)
+        assert run_cli(["--out-dir", tmp_path / "out", "emit",
+                        "--table", table]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {line}: ")
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_zero_benchmark_seeds_is_config_error(self, tmp_path, capsys):
+        assert run_cli(["--out-dir", tmp_path, "benchmark", "--n", "30",
+                        "--benchmark-seeds", "0"]) == 2
+        assert "config error: seeds" in capsys.readouterr().err
+        assert not (tmp_path / "benchmark.csv").exists()
+
+    @pytest.mark.parametrize("argv, csv", [
+        (["rate-experiment", "--grid", "4,16"], "frobenius_sweep.csv"),
+        (["curie-weiss", "--n", "40"], "curie_weiss.csv"),
+    ])
+    def test_zero_trials_is_config_error(self, tmp_path, capsys, argv, csv):
+        assert run_cli(["--out-dir", tmp_path] + argv
+                       + ["--trials", "0"]) == 2
+        assert "config error: trials" in capsys.readouterr().err
+        assert not (tmp_path / csv).exists()
+
 
 class TestDeterminism:
     def test_sample_rerun_identical_csv(self, tmp_path):

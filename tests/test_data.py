@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from isingreg import (InteractionMatrix, IsingModel, exact_summary,
                       gen_synthetic, load_citation, make_splits, save_citation)
-from isingreg.data import Dataset, _build_matrix, validate_splits
+from isingreg.data import Dataset, validate_splits
 from isingreg.errors import (DanglingEdgeError, DuplicateIdError,
                              MalformedRowError, SplitError)
 
@@ -56,50 +56,28 @@ class TestGenSynthetic:
         clean = np.full((n, 1), 3.0)
         ds = gen_synthetic(n=n, d=1, matrix={"kind": "curie_weiss"},
                            theta_star=np.array([1.0]), features=clean,
-                           field_bound=5.0, seed=0)
+                           seed=0)
         assert ds.ground_truth["clipped"] == 0
 
         spread = np.linspace(2.0, 5.2, n)[:, None]  # 3 entries above 5.0
         with pytest.warns(UserWarning):
             ds2 = gen_synthetic(n=n, d=1, matrix={"kind": "curie_weiss"},
                                 theta_star=np.array([1.0]), features=spread,
-                                field_bound=5.0, seed=0)
+                                seed=0)
         assert ds2.ground_truth["clipped"] == int(np.sum(spread > 5.0))
 
         with pytest.raises(ValueError, match="clipped"):
             gen_synthetic(n=n, d=1, matrix={"kind": "curie_weiss"},
                           theta_star=np.array([2.0]), features=clean,
-                          field_bound=5.0, seed=0)
-
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_erdos_renyi_draws_the_pair_loop_edges(self, seed):
-        n, p = 60, 0.08
-        rng = np.random.default_rng(seed)
-        got = _build_matrix({"kind": "erdos_renyi", "p": p}, n, rng)._csr
-        ref = np.random.default_rng(seed)
-        upper = ref.random((n, n)) < p
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if upper[i, j]]
-        want = InteractionMatrix.from_adjacency(edges, n)._csr
-        for part in ("indptr", "indices", "data"):
-            assert getattr(got, part).tobytes() == \
-                getattr(want, part).tobytes()
-        assert rng.random() == ref.random()
+                          seed=0)
 
 
 class TestMakeSplits:
     def test_exact_fractions_single_class(self):
         labels = np.zeros(100, dtype=int)
-        splits = make_splits(labels, (0.6, 0.2, 0.2), seed=1)
+        splits = make_splits(labels, seed=1)
         assert (len(splits["train"]), len(splits["val"]),
                 len(splits["test"])) == (60, 20, 20)
-
-    def test_all_train(self):
-        labels = np.array([0, 1, 0, 1, 1, 0])
-        splits = make_splits(labels, (1.0, 0.0, 0.0), seed=0)
-        assert len(splits["train"]) == 6
-        assert len(splits["val"]) == len(splits["test"]) == 0
 
     def test_seed_changes_membership_not_counts(self):
         rng = np.random.default_rng(0)
@@ -128,10 +106,6 @@ class TestMakeSplits:
         with pytest.warns(UserWarning):
             splits = make_splits(labels, seed=6)
         assert set(np.flatnonzero(labels == 1)) <= set(splits["train"])
-
-    def test_bad_fractions(self):
-        with pytest.raises(ValueError):
-            make_splits(np.zeros(10, dtype=int), (0.5, 0.2, 0.2))
 
 
 class TestCitationFormat:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isingreg import (InteractionMatrix, IsingModel, c1_prime_estimate,
-                      curie_weiss_rate, exact_summary,
+                      curie_weiss_rate, diagnostics, exact_summary,
                       exchangeable_pairs_test, kappa_and_restricted_eig,
                       kl_tv_exact, psi)
 from isingreg.errors import EnumerationCapError
@@ -154,6 +154,27 @@ class TestComplexityEstimate:
         est = c1_prime_estimate(("vectors", hs), h_star, 0.1, A)
         assert est.c1_prime >= 1.0 / 8 - 1e-9  # beta = beta* slope is free
         assert est.search_telemetry["evals"] > 0
+
+    @pytest.mark.parametrize("instance", ["lower_bound", "d3"])
+    def test_evals_count_every_psi_evaluation(self, monkeypatch, instance):
+        calls = []
+        real = diagnostics._psi_terms
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(diagnostics, "_psi_terms", counting)
+        if instance == "lower_bound":
+            A = InteractionMatrix.block_partition(12, 3)
+            est = c1_prime_estimate(("linear", np.ones((12, 1)), 4.0),
+                                    np.ones(12), 0.5, A)
+        else:
+            rng = np.random.default_rng(4)
+            A = random_symmetric_matrix(rng, 15)
+            est = c1_prime_estimate(("linear", rng.standard_normal((15, 3)),
+                                     1.0), rng.normal(size=15), 0.2, A)
+        assert est.search_telemetry["evals"] == len(calls) > 0
 
 
 class TestKLTV:

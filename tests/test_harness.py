@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from isingreg import ExperimentTable, emit, lower_bound_demo, rate_experiment
-from isingreg.harness import (accuracy_benchmark, curie_weiss_experiment,
-                              loglog_slope, planted_potts_dataset,
+from isingreg.harness import (CSV_COLUMNS, accuracy_benchmark,
+                              curie_weiss_experiment, loglog_slope,
+                              planted_potts_dataset,
                               solve_mean_field_fixpoint)
 
 
@@ -33,8 +34,22 @@ class TestExperimentTable:
 
     def test_values_filter(self):
         t = self.make()
-        vals = t.values("err", trial=0)
-        assert [v for _, v in vals] == [0.5, 0.25]
+        t.add("exp", {"x": 1.0, "k": "a"}, 0, 7, "other", 9.0)
+        vals = t.values("err")
+        assert [v for _, v in vals] == [0.5, 0.75, 0.25]
+        assert vals[0][0] == {"x": 1.0, "k": "a"}
+
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("experiment,config\n", 1),
+        (",".join(CSV_COLUMNS) + "\nexp,{},0,7,err\n", 2),
+        (",".join(CSV_COLUMNS) + "\nexp,{},0,7,err,0.5\nexp,{},x,7,err,1\n",
+         3),
+        (",".join(CSV_COLUMNS) + '\nexp,"{bad",0,7,err,0.5\n', 2),
+    ], ids=["empty", "bad_header", "short_row", "bad_trial", "bad_config"])
+    def test_from_csv_names_the_bad_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            ExperimentTable.from_csv(text)
 
     def test_empty_emit_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -148,8 +163,7 @@ class TestBenchmark:
     @pytest.mark.parametrize("seed", range(3))
     def test_planted_edges_match_the_pair_loop(self, seed):
         n, K, p_in, p_out = 90, 3, 0.10, 0.006
-        ds = planted_potts_dataset(n=n, K=K, seed=seed, p_in=p_in,
-                                   p_out=p_out)
+        ds = planted_potts_dataset(n=n, K=K, seed=seed)
         rng = np.random.default_rng(seed)
         prototypes = rng.integers(0, K, size=n)
         edges = []
@@ -167,8 +181,8 @@ class TestBenchmark:
 
     def test_benchmark_schema_and_determinism(self):
         ds = planted_potts_dataset(n=80, K=3, seed=2)
-        t1 = accuracy_benchmark(ds, seeds=[0, 1], max_iters=80)
-        t2 = accuracy_benchmark(ds, seeds=[0, 1], max_iters=80)
+        t1 = accuracy_benchmark(ds, seeds=[0, 1])
+        t2 = accuracy_benchmark(ds, seeds=[0, 1])
         assert t1.to_csv() == t2.to_csv()
         metrics = t1.metrics()
         for want in ("acc_mple0", "acc_mpleb", "acc_mple0_mean",
