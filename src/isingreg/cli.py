@@ -123,11 +123,9 @@ def cmd_diagnose(args):
     out = _out_dir(args)
     ds = _load_dataset(args)
     frob, spec, inf = ds.A.norms()
-    kappa, _ = diagnostics.kappa_and_restricted_eig(ds.X)
+    kappa = diagnostics.kappa_and_restricted_eig(ds.X)
     h0 = np.zeros(ds.n)
-    est = diagnostics.c1_prime_estimate(
-        ("linear", ds.X, args.l2), h0, 0.0, ds.A, beta_box=args.beta_box,
-        seed=args.seed)
+    est = diagnostics.c1_prime_estimate(("linear", ds.X, 1.0), h0, 0.0, ds.A)
     # probe field from the first feature column, bounded to [-1, 1]
     probe = np.tanh(ds.X[:, 0] - ds.X[:, 0].mean())
     psi_check = diagnostics.psi(probe, 0.2, h0, 0.0, ds.A)
@@ -189,6 +187,9 @@ def cmd_curie_weiss(args):
 
 def cmd_benchmark(args):
     out = _out_dir(args)
+    seeds = [args.seed + i for i in range(args.benchmark_seeds)]
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
     if args.nodes or args.edges or args.splits:
         ds = _load_dataset(args)
         if not ds.splits:
@@ -199,7 +200,6 @@ def cmd_benchmark(args):
                                            seed=args.seed,
                                            beta_star=args.beta_star)
         name = "planted"
-    seeds = [args.seed + i for i in range(args.benchmark_seeds)]
     table = harness.accuracy_benchmark(ds, seeds, model_kind=args.model_kind,
                                        width=args.width, dataset_name=name)
     harness.emit(table, out, formats=args.formats, stem="benchmark")
@@ -259,8 +259,6 @@ def build_parser():
     p.add_argument("--nodes", required=True)
     p.add_argument("--edges", required=True)
     p.add_argument("--splits")
-    p.add_argument("--l2", type=float, default=1.0)
-    p.add_argument("--beta-box", type=float, default=1.0)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("rate-experiment", help="run a rate-scaling sweep")

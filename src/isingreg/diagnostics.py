@@ -68,14 +68,14 @@ def _psi_terms(dh, db, beta_star, h_star, A):
 
 @dataclass
 class ComplexityEstimate:
-    """Search-based lower bound on the complexity suprema.
+    """The complexity suprema of a linear family at (h*, beta*).
 
-    ``c1_prime`` is the best found value of (||h-h*||^2/n) / psi;
-    ``c1`` applies the unit-psi switch (plain squared distance when the
-    proximity is below 1); ``c2_prime`` is the analogous ratio with
-    (beta - beta*)^2 in the numerator, the largest over every psi the
-    c1' search evaluates.  All three are certified lower bounds on the
-    true suprema, with the c1' maximizer reported as the witness.
+    ``c1_prime`` is the supremum of (||h-h*||^2/n) / psi; ``c2_prime`` is
+    the analogous ratio with (beta - beta*)^2 in the numerator; ``c1``
+    applies the unit-psi switch (plain squared distance when the
+    proximity is below 1) along the c1' witness ray.  At beta* = 0 c1'
+    and c2' are exact; elsewhere they are certified lower bounds from a
+    search, with the best ray found as the witness.
     """
 
     c1_prime: float
@@ -142,63 +142,55 @@ def _best_lambda(w_hat, beta_star, h_star, A):
     return best[0], best[1], best2, evals
 
 
-def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0, seed=0):
-    """Heuristic supremum of the squared-error-to-psi ratios.
+def _closed_form(X, h_star, A):
+    """The exact suprema at beta* = 0, returned as by :func:`_ray_search`.
 
-    ``family`` is either ``("linear", X, radius)`` (field directions
-    X u / ||X u||, parameters constrained to the L2 ball of the given
-    radius) or ``("vectors", [h, ...])`` (explicit candidate fields).
-    Because the ratios are invariant along rays out of (h*, beta*), the
-    search runs over direction x slope pairs: a log-grid over the slope
-    refined by golden-section for d = 1, 24 random restarts plus
-    coordinate ascent over directions otherwise.  c1' and c2' come from
-    this one search: every psi it evaluates counts toward both.  The
-    results are certified LOWER bounds on the true suprema, reported
-    with the c1' maximizing witness.
-
-    ``c1`` applies the unit-psi switch: along the best ray the value is
-    min(ratio, t_max^2 / n) where t_max is the largest feasible step in
-    field scale.  ``degenerate`` flags a family with no direction away
-    from ``h_star``; ``search_telemetry`` holds the number of psi
-    evaluations and of start directions.
+    The tanh argument is then h* on every ray, so along a unit direction
+    w with slope lam, psi = 1 + 2 lam (w . u) + lam^2 D, u = A tanh(h*),
+    D = ||A||_F^2 + ||u||^2.  Minimizing over lam and w in range(X) gives
+    c1' = 1 / (n (1 - p/D)) and c2' = 1 / (D - p) with p = ||P_X u||^2, at
+    w = P_X u / sqrt(p), lam = -sqrt(p) / D (any w and lam = 0 if p = 0).
     """
-    h_star = np.asarray(h_star, dtype=float)
-    n = A.n
+    nonzero = np.flatnonzero(np.linalg.norm(X, axis=0) > 1e-12)
+    if nonzero.size == 0:
+        return None
+    u = A.matvec(np.tanh(h_star))
+    big_d = A.frobenius ** 2 + float(u @ u)
+    p = 0.0
+    if u.any():
+        coef, *_ = np.linalg.lstsq(X, u, rcond=None)
+        proj = X @ coef
+        p = float(proj @ proj)
+    c2 = 1.0 / (big_d - p) if big_d > p else np.inf
+    if p == 0.0:
+        w = X[:, nonzero[0]]
+        return (1.0 / A.n, c2, w / np.linalg.norm(w),
+                np.eye(X.shape[1])[nonzero[0]], 0.0, {"evals": 0})
+    return (1.0 / (A.n * (1.0 - p / big_d)), c2, proj / np.sqrt(p),
+            coef / np.linalg.norm(coef), -np.sqrt(p) / big_d, {"evals": 0})
+
+
+def _ray_search(X, h_star, beta_star, A, seed):
+    """(c1', c2', unit field direction, theta direction, slope, telemetry)
+    of the best ray found, or None when X gives no direction: the slope
+    search :func:`_best_lambda` over both directions for d = 1, else over
+    24 random restarts and the d axes, then coordinate ascent."""
     rng = np.random.default_rng(seed)
-    kind = family[0]
-
-    X = None
-    radius = None
-    theta_anchor = None
-    directions = []
-    if kind == "linear":
-        X = np.atleast_2d(np.asarray(family[1], dtype=float))
-        radius = float(family[2])
-        d = X.shape[1]
-        theta_anchor, *_ = np.linalg.lstsq(X, h_star, rcond=None)
-        if d == 1:
-            us = [np.array([1.0]), np.array([-1.0])]
-        else:
-            us = [rng.standard_normal(d) for _ in range(_RESTARTS)]
-            us += [e for e in np.eye(d)]
-        for u in us:
-            u = u / np.linalg.norm(u)
-            w = X @ u
-            norm = np.linalg.norm(w)
-            if norm > 1e-12:
-                directions.append((w / norm, u))
-    elif kind == "vectors":
-        for h in family[1]:
-            w = np.asarray(h, dtype=float) - h_star
-            norm = np.linalg.norm(w)
-            if norm > 1e-12:
-                directions.append((w / norm, None))
+    d = X.shape[1]
+    if d == 1:
+        us = [np.array([1.0]), np.array([-1.0])]
     else:
-        raise ValueError(f"unknown family kind {kind!r}")
-
+        us = [rng.standard_normal(d) for _ in range(_RESTARTS)]
+        us += [e for e in np.eye(d)]
+    directions = []
+    for u in us:
+        u = u / np.linalg.norm(u)
+        w = X @ u
+        norm = np.linalg.norm(w)
+        if norm > 1e-12:
+            directions.append((w / norm, u))
     if not directions:
-        return ComplexityEstimate(0.0, 0.0, 0.0, {}, {"evals": 0},
-                                  degenerate=True)
+        return None
 
     evals, best2 = 0, 0.0
 
@@ -209,13 +201,19 @@ def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0, seed=0):
         best2 = max(best2, val2)
         return val, lam
 
-    def refine(u, base_val, base_lam):
-        val, lam, best_u = base_val, base_lam, u
+    best = (-np.inf, None, None, None)
+    for w_hat, u in directions:
+        val, lam = search(w_hat)
+        if val > best[0]:
+            best = (val, w_hat, u, lam)
+    val, w_hat, u, lam = best
+
+    if d > 1:  # coordinate ascent from the best start
         for _ in range(3):
             improved = False
-            for j in range(len(best_u)):
+            for j in range(d):
                 for delta in (0.25, -0.25):
-                    cand = best_u.copy()
+                    cand = u.copy()
                     cand[j] += delta
                     w = X @ cand
                     norm = np.linalg.norm(w)
@@ -223,56 +221,67 @@ def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0, seed=0):
                         continue
                     v, lam_c = search(w / norm)
                     if v > val:
-                        val, lam, best_u = v, lam_c, cand
+                        val, lam, u = v, lam_c, cand
                         improved = True
             if not improved:
                 break
-        return val, lam, best_u / np.linalg.norm(best_u)
+        u = u / np.linalg.norm(u)
+        w_hat = X @ u / np.linalg.norm(X @ u)
+    return (val, best2, w_hat, u, lam,
+            {"evals": evals, "directions": len(directions)})
 
-    best = (-np.inf, None, None, None)
-    for w_hat, u in directions:
-        val, lam = search(w_hat)
-        if val > best[0]:
-            best = (val, w_hat, u, lam)
 
-    if kind == "linear" and X.shape[1] > 1:
-        val, lam, u = refine(best[2], best[0], best[3])
-        w = X @ u
-        best = (val, w / np.linalg.norm(w), u, lam)
+def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0, seed=0):
+    """Supremum of the squared-error-to-psi ratios over a linear family.
 
-    val, w_hat, u, lam = best
+    ``family`` is ``("linear", X, radius)``: field directions X u / ||X u||,
+    parameters in the L2 ball of the given radius (another kind raises
+    ``ValueError``).  The ratios are constant along rays out of (h*,
+    beta*).  At beta* = 0, c1' and c2' are exact (:func:`_closed_form`, no
+    psi evaluated); elsewhere the tanh argument moves with the slope and
+    :func:`_ray_search` gives certified LOWER bounds.  ``c1`` is min(c1',
+    t_max^2 / n) along the witness ray, t_max the largest feasible step
+    in field scale.  ``degenerate`` flags an X with no nonzero direction;
+    ``search_telemetry`` counts psi evaluations and start directions.
+    """
+    if family[0] != "linear":
+        raise ValueError(f"unknown family kind {family[0]!r}")
+    h_star = np.asarray(h_star, dtype=float)
+    X = np.atleast_2d(np.asarray(family[1], dtype=float))
+    radius = float(family[2])
+    if beta_star == 0.0:
+        found = _closed_form(X, h_star, A)
+    else:
+        found = _ray_search(X, h_star, beta_star, A, seed)
+    if found is None:
+        return ComplexityEstimate(0.0, 0.0, 0.0, {}, {"evals": 0},
+                                  degenerate=True)
+    val, val2, w_hat, u, lam, telemetry = found
 
     # largest feasible field-scale step along the winning ray
-    if kind == "linear":
-        dot = float(theta_anchor @ u)
-        slack = radius ** 2 - float(theta_anchor @ theta_anchor)
-        s_max = -dot + np.sqrt(max(dot ** 2 + slack, 0.0))
-        t_max = s_max * np.linalg.norm(X @ u)
-    else:
-        t_max = max(np.linalg.norm(np.asarray(h) - h_star)
-                    for h in family[1])
+    theta_anchor = np.zeros(X.shape[1])
+    if h_star.any():
+        theta_anchor, *_ = np.linalg.lstsq(X, h_star, rcond=None)
+    dot = float(theta_anchor @ u)
+    slack = radius ** 2 - float(theta_anchor @ theta_anchor)
+    s_max = -dot + np.sqrt(max(dot ** 2 + slack, 0.0))
+    t_max = s_max * np.linalg.norm(X @ u)
     if lam != 0.0:
         t_max = min(t_max, max(beta_box - abs(beta_star), 0.0) / abs(lam))
-    c1 = min(val, t_max ** 2 / n)
 
-    witness = {
-        "h": h_star + w_hat,
-        "beta": beta_star + lam,
-        "lambda_slope": lam,
-        "t_max": float(t_max),
-    }
-    if kind == "linear":
-        witness["theta_direction"] = u
-        if X.shape[1] == 1:
-            # d=1 convention: lambda = -(beta-beta*)/(theta-theta*)
-            witness["lambda_d1"] = -lam * np.linalg.norm(X[:, 0]) / float(u[0])
+    witness = {"h": h_star + w_hat, "beta": beta_star + lam,
+               "lambda_slope": lam, "t_max": float(t_max),
+               "theta_direction": u}
+    if X.shape[1] == 1:
+        # d=1 convention: lambda = -(beta-beta*)/(theta-theta*)
+        witness["lambda_d1"] = -lam * np.linalg.norm(X[:, 0]) / float(u[0])
 
     return ComplexityEstimate(
         c1_prime=float(val),
-        c1=float(c1),
-        c2_prime=float(best2),
+        c1=float(min(val, t_max ** 2 / A.n)),
+        c2_prime=float(val2),
         argmax_witness=witness,
-        search_telemetry={"evals": evals, "directions": len(directions)},
+        search_telemetry=telemetry,
     )
 
 
@@ -363,33 +372,17 @@ def exchangeable_pairs_test(model, v, samples, seed=0, burn_in=100, thin=5):
 # design eigenvalues and the Curie-Weiss rate
 # ---------------------------------------------------------------------------
 
-def kappa_and_restricted_eig(X, l1_radius=None, samples=2000, seed=0):
-    """Minimum eigenvalue of X^T X / n, or a sampled estimate of the
-    restricted version over the L1 ball.
-
-    The unrestricted value is exact (dense symmetric eigensolve, d <= 512).
-    The restricted value is the minimum of ||X theta||^2 / (n ||theta||^2)
-    over random L1-ball draws: an upper bound on the true restricted
-    constant, and flagged as an estimate in the second return slot.
-    """
+def kappa_and_restricted_eig(X):
+    """kappa, the minimum eigenvalue of X^T X / n, by a dense symmetric
+    eigensolve.  When d > n, rank(X) <= n < d and kappa is 0 without a
+    solve.  A design with no columns raises ``ValueError``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
-    if d > 512:
-        raise ValueError("dense eigensolve capped at d=512")
-    if l1_radius is None:
-        gram = X.T @ X / n
-        return float(np.linalg.eigvalsh(gram)[0]), False
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(samples):
-        theta = rng.laplace(size=d)
-        theta *= l1_radius * rng.random() ** (1.0 / d) / np.sum(np.abs(theta))
-        nt = np.linalg.norm(theta)
-        if nt < 1e-12:
-            continue
-        val = np.sum((X @ theta) ** 2) / (n * nt ** 2)
-        best = min(best, val)
-    return float(best), True
+    if d == 0:
+        raise ValueError("the design has no feature columns")
+    if d > n:
+        return 0.0
+    return float(np.linalg.eigvalsh(X.T @ X / n)[0])
 
 
 def curie_weiss_rate(alpha, n):

@@ -146,7 +146,6 @@ def _sweep_instance(kind, x, rng_seed, cfg):
         return gen_synthetic(n, d, {"kind": "block", "r": cfg["r"]},
                              theta_star=theta, beta_star=cfg["beta_star"],
                              seed=rng_seed)
-    raise ValueError(f"unknown sweep kind {kind!r}")
 
 
 SWEEP_DEFAULTS = {
@@ -167,13 +166,20 @@ def rate_experiment(kind, grid, trials, seed=0, **overrides):
     kappa, and ||A||_F^2, plus aggregate mean rows and the log-log slope
     of the mean squared theta error against the grid variable.  Fit
     failures are recorded per row rather than aborting the sweep.  An
-    empty grid or ``trials < 1`` raises ``ValueError`` before any draw.
+    empty grid, ``trials < 1``, an unknown ``kind`` or an override that
+    ``SWEEP_DEFAULTS[kind]`` does not hold raises ``ValueError`` before
+    any draw.
     """
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if kind not in SWEEP_DEFAULTS:
+        raise ValueError(f"unknown sweep kind {kind!r}")
     cfg = dict(SWEEP_DEFAULTS[kind])
+    unknown = sorted(set(overrides) - set(cfg))
+    if unknown:
+        raise ValueError(f"{kind} has no settings {unknown}")
     cfg.update(overrides)
     table = ExperimentTable()
     means = []
@@ -199,7 +205,7 @@ def rate_experiment(kind, grid, trials, seed=0, **overrides):
                 continue
             theta_hat = res.theta_hat["theta"]
             theta_err = float(np.sum((theta_hat - theta_star) ** 2))
-            kappa, _ = diagnostics.kappa_and_restricted_eig(ds.X)
+            kappa = diagnostics.kappa_and_restricted_eig(ds.X)
             metrics = {
                 "theta_sq_err": theta_err,
                 "beta_sq_err": (res.beta_hat - beta_star) ** 2,

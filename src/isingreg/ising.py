@@ -193,6 +193,8 @@ def _run_chain(run_sweep, state, count, burn_in, thin, dtype):
         raise ValueError("count must be at least 1")
     if thin < 1:
         raise ValueError("thin must be at least 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
     out = np.empty((count, len(state)), dtype=dtype)
     for _ in range(burn_in):
         run_sweep()

@@ -109,6 +109,31 @@ class TestDispatch:
         assert {"norms", "kappa", "nodes", "features"} <= set(doc)
         assert doc["norms"]["infinity"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n, d", [(530, 520), (40, 600)])
+    def test_diagnose_more_than_512_features(self, tmp_path, n, d):
+        # no dimension cap on kappa; the report at the origin is exact
+        rng = np.random.default_rng(d)
+        X = rng.integers(0, 2, size=(n, d))
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text(
+            "id,label," + ",".join(f"f{j}" for j in range(d)) + "\n"
+            + "".join(f"{i},{i % 2}," + ",".join(map(str, row)) + "\n"
+                      for i, row in enumerate(X.tolist())))
+        (tmp_path / "edges.txt").write_text(
+            "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        assert run_cli(["--out-dir", tmp_path, "diagnose", "--nodes", nodes,
+                        "--edges", tmp_path / "edges.txt"]) == 0
+        doc = json.loads((tmp_path / "diagnose.json").read_text())
+        assert doc["features"] == d and doc["nodes"] == n
+        if d > n:
+            assert doc["kappa"] == 0.0
+        else:
+            assert doc["kappa"] == pytest.approx(
+                np.linalg.eigvalsh(X.T @ X / n)[0], abs=1e-12)
+        assert doc["c1_prime"] == 1.0 / n
+        assert doc["c2_prime"] == pytest.approx(
+            1.0 / doc["norms"]["frobenius"] ** 2, rel=1e-12)
+
     def test_lower_bound_demo(self, tmp_path):
         code = run_cli(["--out-dir", tmp_path, "lower-bound-demo",
                         "--n", "8", "--block-r", "2"])
@@ -282,6 +307,46 @@ class TestExitCodes:
                         "--benchmark-seeds", "0"]) == 2
         assert "config error: seeds" in capsys.readouterr().err
         assert not (tmp_path / "benchmark.csv").exists()
+
+    @pytest.mark.parametrize("data", [
+        [], ["--nodes", FIXTURES / "toy_nodes.csv",
+             "--edges", FIXTURES / "toy_edges.txt"]], ids=["planted", "files"])
+    def test_zero_benchmark_seeds_refused_before_the_data(
+            self, tmp_path, capsys, monkeypatch, data):
+        def never(*args, **kwargs):
+            raise AssertionError("the dataset was built")
+
+        monkeypatch.setattr(cli.harness, "planted_potts_dataset", never)
+        monkeypatch.setattr(cli, "load_citation", never)
+        assert run_cli(["--out-dir", tmp_path, "benchmark",
+                        "--benchmark-seeds", "0", *data]) == 2
+        assert "config error: seeds" in capsys.readouterr().err
+
+    def test_negative_burn_in_is_config_error(self, tmp_path, capsys):
+        assert run_cli(["--out-dir", tmp_path, "sample", "--n", "4",
+                        "--count", "1", "--burn-in", "-3"]) == 2
+        assert "burn_in" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
+    def test_diagnose_without_feature_columns_is_config_error(self, tmp_path,
+                                                               capsys):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("id,label\n0,1\n1,-1\n2,1\n")
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+        assert run_cli(["--out-dir", tmp_path, "diagnose", "--nodes", nodes,
+                        "--edges", tmp_path / "edges.txt"]) == 2
+        assert "no feature columns" in capsys.readouterr().err
+        assert not (tmp_path / "diagnose.json").exists()
+
+    # the d = 0 draw scales theta by 1/||theta|| before kappa refuses it
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_sweep_without_feature_columns_is_config_error(self, tmp_path,
+                                                           capsys):
+        assert run_cli(["--out-dir", tmp_path, "rate-experiment",
+                        "--kind", "dimension_sweep", "--grid", "0",
+                        "--trials", "1"]) == 2
+        assert "no feature columns" in capsys.readouterr().err
+        assert not (tmp_path / "dimension_sweep.csv").exists()
 
     @pytest.mark.parametrize("argv, csv", [
         (["rate-experiment", "--grid", "4,16"], "frobenius_sweep.csv"),

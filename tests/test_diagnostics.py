@@ -76,10 +76,19 @@ class TestPsi:
 
 class TestComplexityEstimate:
     def test_degenerate_family(self):
+        # an X with no nonzero column gives no direction away from h*, on
+        # the search path and on the closed form alike
         A = InteractionMatrix.curie_weiss(4)
-        h = np.ones(4)
-        est = c1_prime_estimate(("vectors", [h.copy()]), h, 0.2, A)
-        assert est.degenerate and est.c1_prime == 0.0
+        for beta_star in (0.2, 0.0):
+            est = c1_prime_estimate(("linear", np.zeros((4, 2)), 1.0),
+                                    np.ones(4), beta_star, A)
+            assert est.degenerate and est.c1_prime == 0.0
+            assert est.search_telemetry["evals"] == 0
+
+    def test_unknown_family_kind(self):
+        A = InteractionMatrix.curie_weiss(4)
+        with pytest.raises(ValueError, match="vectors"):
+            c1_prime_estimate(("vectors", [np.ones(4)]), np.zeros(4), 0.2, A)
 
     def test_lower_bound_instance_witness(self):
         # at the lower-bound construction's slope the ratio equals a^2/r;
@@ -112,6 +121,46 @@ class TestComplexityEstimate:
                 if val > 0:
                     best = max(best, (th - 1.0) ** 2 / val)
         assert est.c1_prime == pytest.approx(best, rel=1e-3)
+
+    def test_closed_form_matches_brute_force_on_d1(self):
+        # beta* = 0 with h* != 0: the ray's best slope is -sqrt(p)/D != 0
+        n, r = 12, 3
+        A = InteractionMatrix.block_partition(n, r)
+        ones = np.ones(n)
+        est = c1_prime_estimate(("linear", np.ones((n, 1)), 4.0), ones, 0.0, A)
+        assert est.search_telemetry["evals"] == 0
+        assert est.argmax_witness["lambda_slope"] < 0.0
+        best, best2 = 0.0, 0.0
+        for th in np.linspace(-3, 5, 161):
+            if abs(th - 1.0) < 1e-9:
+                continue
+            for b in np.linspace(-4, 4, 401):
+                val = psi(th * ones, b, ones, 0.0, A).value
+                best = max(best, (th - 1.0) ** 2 / val)
+                best2 = max(best2, b ** 2 / val)
+        assert best <= est.c1_prime * (1 + 1e-12)
+        assert est.c1_prime == pytest.approx(best, rel=1e-6)
+        assert best2 <= est.c2_prime * (1 + 1e-12)
+        assert est.c2_prime == pytest.approx(best2, rel=1e-6)
+
+    def test_closed_form_witness_on_d3(self):
+        rng = np.random.default_rng(12)
+        n = 30
+        A = random_symmetric_matrix(rng, n, zero_diag=False)
+        X = rng.standard_normal((n, 3))
+        h_star = X @ rng.standard_normal(3)
+        est = c1_prime_estimate(("linear", X, 1.0), h_star, 0.0, A)
+        wit = est.argmax_witness
+        at_witness = 1.0 / (n * psi(wit["h"], wit["beta"], h_star, 0.0,
+                                    A).value)
+        assert at_witness == pytest.approx(est.c1_prime, rel=1e-12)
+        # no sampled (direction, slope) pair beats either supremum
+        for _ in range(500):
+            dh = X @ rng.standard_normal(3)
+            db = float(rng.normal()) * 10.0 ** rng.uniform(-3, 3)
+            val = psi(h_star + dh, db, h_star, 0.0, A).value
+            assert dh @ dh / (n * val) <= est.c1_prime * (1 + 1e-12)
+            assert db ** 2 / val <= est.c2_prime * (1 + 1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_instances_respect_frobenius_bound(self, seed):
@@ -146,16 +195,7 @@ class TestComplexityEstimate:
         assert est.c2_prime == pytest.approx(1.0 / A.frobenius ** 2,
                                              rel=1e-11)
 
-    def test_vectors_family(self):
-        rng = np.random.default_rng(9)
-        A = random_symmetric_matrix(rng, 8)
-        h_star = rng.normal(size=8)
-        hs = [h_star + rng.normal(size=8) for _ in range(4)]
-        est = c1_prime_estimate(("vectors", hs), h_star, 0.1, A)
-        assert est.c1_prime >= 1.0 / 8 - 1e-9  # beta = beta* slope is free
-        assert est.search_telemetry["evals"] > 0
-
-    @pytest.mark.parametrize("instance", ["lower_bound", "d3"])
+    @pytest.mark.parametrize("instance", ["lower_bound", "d3", "beta_zero"])
     def test_evals_count_every_psi_evaluation(self, monkeypatch, instance):
         calls = []
         real = diagnostics._psi_terms
@@ -170,11 +210,14 @@ class TestComplexityEstimate:
             est = c1_prime_estimate(("linear", np.ones((12, 1)), 4.0),
                                     np.ones(12), 0.5, A)
         else:
+            # the d3 instance at beta* = 0 takes the closed form: no psi
+            beta_star = 0.2 if instance == "d3" else 0.0
             rng = np.random.default_rng(4)
             A = random_symmetric_matrix(rng, 15)
             est = c1_prime_estimate(("linear", rng.standard_normal((15, 3)),
-                                     1.0), rng.normal(size=15), 0.2, A)
-        assert est.search_telemetry["evals"] == len(calls) > 0
+                                     1.0), rng.normal(size=15), beta_star, A)
+        assert est.search_telemetry["evals"] == len(calls)
+        assert (len(calls) > 0) == (instance != "beta_zero")
 
 
 class TestKLTV:
@@ -277,33 +320,37 @@ class TestKappa:
         n, d = 32, 4
         q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(n, d)))
         X = q * np.sqrt(n)
-        val, is_estimate = kappa_and_restricted_eig(X)
-        assert val == pytest.approx(1.0, abs=1e-10)
-        assert not is_estimate
+        assert kappa_and_restricted_eig(X) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_column(self):
         X = np.zeros((10, 3))
         X[:, :2] = np.random.default_rng(1).normal(size=(10, 2))
-        val, _ = kappa_and_restricted_eig(X)
-        assert val == pytest.approx(0.0, abs=1e-12)
+        assert kappa_and_restricted_eig(X) == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_design_concentrates(self):
         vals = []
         for seed in range(10):
             X = np.random.default_rng(seed).normal(size=(2000, 10))
-            vals.append(kappa_and_restricted_eig(X)[0])
+            vals.append(kappa_and_restricted_eig(X))
         assert all(0.7 <= v <= 1.3 for v in vals)
 
-    def test_restricted_is_flagged_estimate(self):
-        X = np.random.default_rng(2).normal(size=(50, 6))
-        exact, flag_e = kappa_and_restricted_eig(X)
-        est, flag_r = kappa_and_restricted_eig(X, l1_radius=1.0, samples=500)
-        assert flag_r and not flag_e
-        assert est >= exact - 1e-9  # sampled upper bound on a smaller set
+    def test_wide_design_below_n(self):
+        # d = 600 <= n: no dimension cap, the same dense eigensolve
+        X = np.random.default_rng(3).normal(size=(700, 600))
+        want = np.linalg.eigvalsh(X.T @ X / 700)[0]
+        assert kappa_and_restricted_eig(X) == want > 0.0
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            kappa_and_restricted_eig(np.zeros((10, 513)))
+    def test_more_columns_than_rows_is_zero(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("eigensolve for d > n")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", never)
+        X = np.random.default_rng(4).normal(size=(20, 21))
+        assert kappa_and_restricted_eig(X) == 0.0
+
+    def test_no_columns_raises(self):
+        with pytest.raises(ValueError, match="no feature columns"):
+            kappa_and_restricted_eig(np.zeros((10, 0)))
 
 
 class TestCurieWeissRate:

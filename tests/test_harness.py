@@ -4,7 +4,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from isingreg import ExperimentTable, emit, lower_bound_demo, rate_experiment
+from isingreg import (ExperimentTable, emit, harness, lower_bound_demo,
+                      rate_experiment)
 from isingreg.harness import (CSV_COLUMNS, accuracy_benchmark,
                               curie_weiss_experiment, loglog_slope,
                               planted_potts_dataset,
@@ -109,6 +110,20 @@ class TestRateExperiment:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             rate_experiment("frobenius_sweep", [], 3)
+
+    @pytest.mark.parametrize("kind, overrides, match", [
+        ("frobenius_sweep", {"nn": 64}, "no settings \\['nn'\\]"),
+        ("dimension_sweep", {"n": 64, "d": 3}, "no settings \\['d'\\]"),
+        ("no_such_sweep", {}, "unknown sweep kind"),
+    ], ids=["nn", "d", "kind"])
+    def test_unknown_kind_or_setting_rejected_before_any_draw(
+            self, monkeypatch, kind, overrides, match):
+        def never(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(harness, "gen_synthetic", never)
+        with pytest.raises(ValueError, match=match):
+            rate_experiment(kind, [4], 1, **overrides)
 
 
 class TestLowerBoundDemo:

@@ -151,6 +151,8 @@ class TestGibbs:
             gibbs_sample(model, 0)
         with pytest.raises(ValueError):
             gibbs_sample(model, 1, thin=0)
+        with pytest.raises(ValueError, match="burn_in"):
+            gibbs_sample(model, 1, burn_in=-3)
 
 
 def _class_work(A):
