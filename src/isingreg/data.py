@@ -1,12 +1,7 @@
 """Synthetic instance generation and citation-style dataset ingestion.
 
-Canonical on-disk format (all 0-indexed UTF-8):
-
-* ``nodes.csv``   header ``id,label,f1,...,fd``; one row per node,
-* ``edges.txt``   one ``i j [weight]`` per line (undirected, no self-loops,
-  weight 1 when omitted); a pair listed twice, in either order, counts
-  once,
-* ``splits.json`` ``{"train": [...], "val": [...], "test": [...]}``.
+The file formats (``nodes.csv``, ``edges.txt``, ``splits.json``) and the
+grammar of their cells are set out under "Data formats" in README.md.
 """
 
 from __future__ import annotations
@@ -19,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateIdError, MalformedRowError, SplitError
-from .interaction import (InteractionMatrix, from_weighted_edges,
+from .interaction import (InteractionMatrix, from_weighted_edges, load_rows,
                           read_edge_list, write_edge_list)
 from .ising import IsingModel, gibbs_sample
 
@@ -34,9 +29,9 @@ SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 class Dataset:
     """Features, labels, dependency structure, splits, optional truth.
 
-    ``edges``, when present, holds the (i, j, weight) rows A was built
-    from, in the shape ``read_edge_list`` returns and ``write_edge_list``
-    writes.
+    ``edges``, when present, is the (m, 3) float array of (i, j, weight)
+    rows A was built from, as ``read_edge_list`` returns it and
+    ``write_edge_list`` writes it.
     """
 
     X: np.ndarray
@@ -44,21 +39,16 @@ class Dataset:
     A: InteractionMatrix
     splits: dict = field(default_factory=dict)
     ground_truth: dict | None = None
-    edges: list | None = None
+    edges: np.ndarray | None = None
 
     @property
     def n(self):
         return len(self.labels)
 
     def summary(self):
-        classes = len(np.unique(self.labels))
-        n_edges = len(self.edges) if self.edges is not None else None
-        return {
-            "classes": classes,
-            "nodes": int(self.n),
-            "edges": n_edges,
-            "features": int(self.X.shape[1]),
-        }
+        return {"classes": len(np.unique(self.labels)), "nodes": int(self.n),
+                "edges": None if self.edges is None else len(self.edges),
+                "features": int(self.X.shape[1])}
 
 
 def _build_matrix(matrix, n):
@@ -194,49 +184,34 @@ def load_citation(nodes_path, edges_path, splits_path=None):
     overlapping splits each raise their own error type.
     """
     nodes_path, edges_path = Path(nodes_path), Path(edges_path)
-    ids, labels, feats = [], [], []
     with nodes_path.open() as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         if cols[:2] != ["id", "label"]:
             raise MalformedRowError(
                 f"nodes header must start with 'id,label', got {header!r}")
-        d = len(cols) - 2
-        for line_no, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            parts = raw.strip().split(",")
-            if len(parts) != d + 2:
-                raise MalformedRowError(
-                    f"{nodes_path.name}:{line_no}: expected {d + 2} fields, "
-                    f"got {len(parts)}")
-            try:
-                ids.append(int(parts[0]))
-                labels.append(int(parts[1]))
-                feats.append(np.array(parts[2:], dtype=float))
-            except ValueError as exc:
-                raise MalformedRowError(
-                    f"{nodes_path.name}:{line_no}: {exc}") from exc
-    n = len(ids)
-    if len(set(ids)) != n:
-        uniq, counts = np.unique(ids, return_counts=True)
+        row = np.dtype([("id", np.int64), ("label", np.int64),
+                        ("x", np.float64, (len(cols) - 2,))])
+        table, numbers = load_rows(fh, 2, f"{nodes_path.name}:", str.strip,
+                                   dtype=row, delimiter=",", comments=None)
+    n = len(table)
+    uniq, counts = np.unique(table["id"], return_counts=True)
+    if len(uniq) != n:
         raise DuplicateIdError(
             f"duplicate node ids: {uniq[counts > 1][:5].tolist()}")
-    if sorted(ids) != list(range(n)):
+    if not np.array_equal(uniq, np.arange(n)):
         raise MalformedRowError("node ids must be exactly 0..n-1")
-
-    X = np.empty((n, d))
-    for node, row in zip(ids, feats):
-        X[node] = row
-    del feats  # the row arrays would otherwise live through edge parsing
-    y = np.asarray(labels, dtype=np.int64)[np.argsort(ids)]
+    order = np.argsort(table["id"])
+    # fancy indexing makes C-contiguous copies, so the table can be freed
+    X, y = table["x"][order], table["label"][order]
+    del table
     # min and max propagate NaN and reach any infinity, and unlike
     # isfinite(X) they allocate no n x d temporary
     if not np.isfinite([X.min(initial=0.0), X.max(initial=0.0)]).all():
         node, col = np.argwhere(~np.isfinite(X))[0]
         raise MalformedRowError(
-            f"{nodes_path.name}: node {node} feature {cols[2 + col]} is "
-            f"{X[node, col]}, not a finite number")
+            f"{nodes_path.name}:{numbers[order[node]]}: node {node} feature "
+            f"{cols[2 + col]} is {X[node, col]}, not a finite number")
 
     with Path(edges_path).open() as fh:
         edges = read_edge_list(fh)

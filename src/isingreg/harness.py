@@ -166,9 +166,9 @@ def rate_experiment(kind, grid, trials, seed=0, **overrides):
     kappa, and ||A||_F^2, plus aggregate mean rows and the log-log slope
     of the mean squared theta error against the grid variable.  Fit
     failures are recorded per row rather than aborting the sweep.  An
-    empty grid, ``trials < 1``, an unknown ``kind`` or an override that
-    ``SWEEP_DEFAULTS[kind]`` does not hold raises ``ValueError`` before
-    any draw.
+    empty grid, ``trials < 1``, an unknown ``kind``, an override that
+    ``SWEEP_DEFAULTS[kind]`` does not hold and a ``dimension_sweep`` grid
+    value below 1 raise ``ValueError`` before any draw.
     """
     if len(grid) == 0:
         raise ValueError("grid must be nonempty")
@@ -176,6 +176,8 @@ def rate_experiment(kind, grid, trials, seed=0, **overrides):
         raise ValueError(f"trials must be at least 1, got {trials}")
     if kind not in SWEEP_DEFAULTS:
         raise ValueError(f"unknown sweep kind {kind!r}")
+    if kind == "dimension_sweep" and min(grid) < 1:
+        raise ValueError(f"grid value {min(grid)} leaves no feature columns")
     cfg = dict(SWEEP_DEFAULTS[kind])
     unknown = sorted(set(overrides) - set(cfg))
     if unknown:
@@ -357,7 +359,7 @@ def planted_potts_dataset(n=200, K=3, seed=0, beta_star=0.5):
     i, j = np.triu_indices(n, 1)
     p = np.where(prototypes[i] == prototypes[j], 0.10, 0.006)
     hit = rng.random(len(i)) < p
-    edges = [(a, b, 1.0) for a, b in zip(i[hit].tolist(), j[hit].tolist())]
+    edges = np.column_stack([i[hit], j[hit], np.ones(hit.sum())])
     A = from_weighted_edges(edges, n)
 
     X = rng.standard_normal((n, K))

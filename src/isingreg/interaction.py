@@ -25,7 +25,7 @@ only.
 from __future__ import annotations
 
 import functools
-import math
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,7 +102,8 @@ class InteractionMatrix:
     def from_adjacency(edges, n):
         """0/1 adjacency of an undirected graph: :func:`from_weighted_edges`
         with unit weights, so divided by the maximum degree."""
-        return from_weighted_edges([(i, j, 1.0) for i, j in edges], n)
+        pairs = np.asarray(edges, dtype=float)
+        return from_weighted_edges(np.c_[pairs, np.ones(len(pairs))], n)
 
     @staticmethod
     def from_dense(matrix):
@@ -192,53 +193,75 @@ class InteractionMatrix:
         return self.frobenius, self.spectral, self.infinity
 
 
+def load_rows(lines, start, where, row, **loadtxt_args):
+    """Parse ``lines``, numbered from ``start``, with one ``np.loadtxt`` call
+    over ``row(line)`` of each line whose ``row`` is not empty; returns the
+    rows (empty when there are none) and their line numbers.  loadtxt reads
+    an iterator one line at a time, so its ``ValueError`` is about the last
+    line read: ``MalformedRowError("<where><line>: ...")``.
+    """
+    numbers = []
+
+    def rows():
+        for line_no, raw in enumerate(lines, start):
+            if text := row(raw):
+                numbers.append(line_no)
+                yield text
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data"
+            return np.loadtxt(rows(), ndmin=1, **loadtxt_args), numbers
+    except ValueError as exc:
+        # loadtxt's own row index skips blank lines and the header
+        reason = str(exc).split(" at row ")[0]
+        raise MalformedRowError(f"{where}{numbers[-1]}: " + reason.replace(
+            "the dtype passed requires", "expected")) from exc
+
+
+def _edge_row(raw):
+    """The row to parse, weight 1 added when missing; None to skip."""
+    parts = raw.split()
+    if not parts or parts[0].startswith("#"):
+        return None
+    return f"{parts[0]} {parts[1]} 1" if len(parts) == 2 else raw
+
+
 def read_edge_list(lines):
     """Parse the text edge format: one ``i j [weight]`` per line, 0-indexed,
     whitespace separated, weight defaulting to 1.  Blank lines and lines
-    starting with ``#`` are skipped.  Returns a list of (i, j, weight); a
-    line that does not parse, or whose weight is not finite, raises
-    ``MalformedRowError`` naming its line number."""
-    edges = []
-    for line_no, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) not in (2, 3):
-            raise MalformedRowError(
-                f"line {line_no}: expected 'i j [weight]', got {raw!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError as exc:
-            raise MalformedRowError(f"line {line_no}: {exc}") from exc
-        if not math.isfinite(w):
-            raise MalformedRowError(
-                f"line {line_no}: weight {parts[2]!r} is not a finite number")
-        edges.append((i, j, w))
-    return edges
+    starting with ``#`` are skipped.  Returns an (m, 3) float array of
+    (i, j, weight) rows; a line that does not parse, or whose weight is not
+    finite, raises ``MalformedRowError`` naming its line number."""
+    table, numbers = load_rows(lines, 1, "line ", _edge_row, comments=None,
+                               dtype=[("i", np.int64), ("j", np.int64),
+                                      ("w", np.float64)])
+    w = table["w"]
+    if not np.isfinite(w).all():
+        k = np.argmax(~np.isfinite(w))
+        raise MalformedRowError(
+            f"line {numbers[k]}: weight {w[k]} is not a finite number")
+    return np.column_stack([table["i"], table["j"], w])
 
 
 def write_edge_list(edges):
     """Inverse of :func:`read_edge_list`; weight column omitted when 1."""
-    out = []
-    for i, j, w in edges:
-        if w == 1.0:
-            out.append(f"{i} {j}")
-        else:
-            out.append(f"{i} {j} {w!r}")
-    return "\n".join(out) + "\n"
+    rows = (f"{int(i)} {int(j)}" + ("" if w == 1.0 else f" {float(w)!r}")
+            for i, j, w in edges)
+    return "\n".join(rows) + "\n"
 
 
 def from_weighted_edges(edges, n):
     """The interaction matrix of an undirected weighted edge list.
 
-    ``edges`` holds (i, j, weight) rows, as :func:`read_edge_list` returns
-    them.  A pair listed more than once, in either order, counts once.  A
-    self-loop, a repeat with a different weight, a non-finite weight and
-    an empty or all-zero edge set raise ``ValueError``; an endpoint
-    outside 0..n-1 raises ``DanglingEdgeError``.  The symmetric matrix is
-    divided by its largest absolute row sum (the maximum degree for 0/1
-    weights), so its infinity norm is 1.
+    ``edges`` holds (i, j, weight) rows, as the (m, 3) array that
+    :func:`read_edge_list` returns.  A pair listed more than once, in
+    either order, counts once.  A self-loop, a repeat with a different
+    weight, a non-finite weight and an empty or all-zero edge set raise
+    ``ValueError``; an endpoint outside 0..n-1 raises
+    ``DanglingEdgeError``.  The symmetric matrix is divided by its largest
+    absolute row sum (the maximum degree for 0/1 weights), so its infinity
+    norm is 1.
     """
     e = np.asarray(edges, dtype=float)
     if e.size == 0:

@@ -338,8 +338,8 @@ class TestExitCodes:
         assert "no feature columns" in capsys.readouterr().err
         assert not (tmp_path / "diagnose.json").exists()
 
-    # the d = 0 draw scales theta by 1/||theta|| before kappa refuses it
-    @pytest.mark.filterwarnings("ignore:divide by zero")
+    # refused before the draw, which would divide theta by ||theta|| = 0
+    @pytest.mark.filterwarnings("error")
     def test_sweep_without_feature_columns_is_config_error(self, tmp_path,
                                                            capsys):
         assert run_cli(["--out-dir", tmp_path, "rate-experiment",

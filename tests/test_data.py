@@ -108,6 +108,14 @@ class TestMakeSplits:
         assert set(np.flatnonzero(labels == 1)) <= set(splits["train"])
 
 
+def _load_nodes(tmp_path, text):
+    """load_citation on a nodes file with this text and one edge (0, 1)."""
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text(text)
+    (tmp_path / "edges.txt").write_text("0 1\n")
+    return load_citation(nodes, tmp_path / "edges.txt")
+
+
 class TestCitationFormat:
     def test_toy_fixture_counts(self):
         ds = load_citation(FIXTURES / "toy_nodes.csv",
@@ -176,6 +184,61 @@ class TestCitationFormat:
         (tmp_path / "edges.txt").write_text("0 1\n")
         with pytest.raises(MalformedRowError, match="node 0 feature f2"):
             load_citation(nodes, tmp_path / "edges.txt")
+
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        ds = _load_nodes(tmp_path, "id,label,f1\n1,1,2.0\n  \t \n\n0,0,1.0\n")
+        assert ds.X.tolist() == [[1.0], [2.0]]
+        assert ds.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("row, reason", [
+        ("1,0,abc", "could not convert string 'abc' to float64"),
+        ("1,0", "expected 3 columns but 2 were found"),
+        ("1,0,1.0,2.0", "expected 3 columns but 4 were found"),
+    ])
+    def test_error_line_counts_blank_lines(self, tmp_path, row, reason):
+        with pytest.raises(MalformedRowError,
+                           match=f"^nodes.csv:5: {reason}$"):
+            _load_nodes(tmp_path, f"id,label,f1\n0,0,1.0\n\n   \n{row}\n")
+
+    @pytest.mark.parametrize("row", ["1.5,0,1.0", "1,0.5,1.0", "1e0,0,1.0",
+                                     "1,1e0,1.0"])
+    def test_non_integer_id_or_label(self, tmp_path, row):
+        with pytest.raises(MalformedRowError,
+                           match="^nodes.csv:3: could not convert string "
+                                 "'[^']*' to int64$"):
+            _load_nodes(tmp_path, f"id,label,f1\n0,0,1.0\n{row}\n")
+
+    @pytest.mark.parametrize("cell", ["1e400", "nan", "-inf"])
+    def test_non_finite_feature_names_the_line(self, tmp_path, cell):
+        with pytest.raises(MalformedRowError,
+                           match="^nodes.csv:4: node 0 feature f2 is "
+                                 "(inf|nan|-inf), not a finite number$"):
+            _load_nodes(tmp_path,
+                        f"id,label,f1,f2\n1,0,1.0,2.0\n\n0,1,0.5,{cell}\n")
+
+    # float() and int() read these, numpy's parser does not: underscores,
+    # non-ASCII digits, and a row that starts with '#' (no comment syntax)
+    @pytest.mark.parametrize("row", ["1,0,1_0", "1_0,0,1.0", "1,0,\uff11",
+                                     "\uff11,0,1.0", "1,\u0661,1.0",
+                                     "#1,0,1.0"])
+    def test_float_only_cells_and_comment_rows_refused(self, tmp_path, row):
+        with pytest.raises(MalformedRowError,
+                           match="^nodes.csv:3: could not convert string"):
+            _load_nodes(tmp_path, f"id,label,f1\n0,0,1.0\n{row}\n")
+
+    def test_accepted_cells(self, tmp_path):
+        # blanks around a cell, a sign, leading zeros, a bare point and an
+        # exponent in either case
+        ds = _load_nodes(tmp_path, "id,label,f1,f2\n 1 , +0 , 1. , -.5e1 \n"
+                                   "00,-1,1E2,0\n")
+        assert ds.X.tolist() == [[100.0, 0.0], [1.0, -5.0]]
+        assert ds.labels.tolist() == [-1, 0] and ds.labels.dtype == np.int64
+        assert ds.X.flags.c_contiguous
+
+    def test_header_only_reads_no_rows(self, tmp_path, recwarn):
+        with pytest.raises(DanglingEdgeError):
+            _load_nodes(tmp_path, "id,label,f1\n")
+        assert not recwarn.list
 
     def test_duplicate_ids(self, tmp_path):
         nodes = tmp_path / "nodes.csv"

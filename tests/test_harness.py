@@ -125,6 +125,18 @@ class TestRateExperiment:
         with pytest.raises(ValueError, match=match):
             rate_experiment(kind, [4], 1, **overrides)
 
+    # d = int(x) = 0 would scale theta by 1/||theta|| = 1/0 in the draw
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", [[0], [4, 0.5]])
+    def test_dimension_sweep_without_features_rejected_before_any_draw(
+            self, monkeypatch, grid):
+        def never(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(harness, "gen_synthetic", never)
+        with pytest.raises(ValueError, match="no feature columns"):
+            rate_experiment("dimension_sweep", grid, 1)
+
 
 class TestLowerBoundDemo:
     def test_fixpoint_value(self):
@@ -187,7 +199,8 @@ class TestBenchmark:
                 p = p_in if prototypes[i] == prototypes[j] else p_out
                 if rng.random() < p:
                     edges.append((i, j, 1.0))
-        assert ds.edges == edges
+        assert ds.edges.dtype == float
+        np.testing.assert_array_equal(ds.edges, edges)
         # the features are the generator's next draws
         X = rng.standard_normal((n, K))
         informative = rng.random(n) < 0.5

@@ -199,15 +199,49 @@ class TestEdgeListFormat:
     def test_roundtrip(self):
         edges = [(0, 1, 1.0), (1, 2, -0.5), (0, 3, 1.0)]
         text = write_edge_list(edges)
-        assert read_edge_list(text.splitlines()) == edges
+        parsed = read_edge_list(text.splitlines())
+        assert parsed.dtype == float and parsed.shape == (3, 3)
+        np.testing.assert_array_equal(parsed, edges)
+        assert write_edge_list(parsed) == text == "0 1\n1 2 -0.5\n0 3\n"
 
     def test_default_weight_and_comments(self):
         lines = ["# comment", "", "0 1", "1 2 0.25"]
-        assert read_edge_list(lines) == [(0, 1, 1.0), (1, 2, 0.25)]
+        np.testing.assert_array_equal(read_edge_list(lines),
+                                      [(0, 1, 1.0), (1, 2, 0.25)])
 
     def test_malformed_line_rejected(self):
         with pytest.raises(MalformedRowError, match="line 1"):
             read_edge_list(["0 1 2 3"])
+
+    def test_no_rows_is_an_empty_array(self, recwarn):
+        edges = read_edge_list(["# only a comment", "  \t", ""])
+        assert edges.shape == (0, 3) and not recwarn.list
+        with pytest.raises(ValueError, match="empty edge set"):
+            from_weighted_edges(edges, 3)
+
+    def test_accepted_cells(self):
+        # whitespace of any width, a sign and leading zeros, an exponent,
+        # and a comment line with leading blanks; the file handle form
+        # keeps its newlines
+        lines = ["  # note\n", "+1\t02  \n", "3 -0 1e-1\n", " 4 5 .5 \n"]
+        np.testing.assert_array_equal(
+            read_edge_list(lines), [(1, 2, 1.0), (3, 0, 0.1), (4, 5, 0.5)])
+
+    @pytest.mark.parametrize("line, reason", [
+        ("1.5 2", "could not convert string '1.5' to int64"),
+        ("1e0 2", "could not convert string '1e0' to int64"),
+        ("0 1 1_0", "could not convert string '1_0' to float64"),
+        ("0 1 \uff11", "could not convert string '\uff11' to float64"),
+        ("\uff10 1", "could not convert string '\uff10' to int64"),
+        ("0 1 # not a comment after data", "expected 3 columns but 8 were"),
+        ("0 1 #", "could not convert string '#' to float64"),
+        ("7", "expected 3 columns but 1 were found"),
+    ])
+    def test_refused_cells_name_the_file_line(self, line, reason):
+        # blank and comment lines before the bad line still count
+        lines = ["0 1", "", "# c", "   ", line, "2 3"]
+        with pytest.raises(MalformedRowError, match=f"^line 5: {reason}"):
+            read_edge_list(lines)
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_weight_rejected(self, weight):
