@@ -2,7 +2,7 @@
 
 * psi and its exact quadratic scale law,
 * the complexity ratio search with its witness (on the lower-bound
-  instance the known slope recovers a^2/r; the global search finds more),
+  instance the known slope recovers a^2/r; the search finds more),
 * empirical tail bounds for mean-field residuals on Gibbs samples,
 * the Curie-Weiss field-pattern rate: estimation error tracks the
   projection residual sqrt(4 n alpha (1 - alpha)).
@@ -35,7 +35,8 @@ def main():
           f"(known-slope value a^2/r = {0.8952 ** 2 / r:.4f}; "
           f"always <= 4/||A||_F^2 = {4 / r:.4f})")
     print(f"  witness slope lambda = {est.argmax_witness['lambda_d1']:.4f}, "
-          f"{est.search_telemetry['evals']} ratio evaluations")
+          f"{est.search_telemetry['evals']} psi evaluations "
+          f"(each with its gradient)")
 
     print("\n== mean-field residual tails ==")
     m = IsingModel(A, rng.uniform(-1, 1, size=n), 0.6)

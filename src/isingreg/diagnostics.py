@@ -4,7 +4,8 @@ This module computes the proximity functional psi, the instance
 complexity ratio sup ||h - h*||^2 / (n psi) and its thresholded variant,
 exact KL/TV between small models, an empirically testable concentration
 bound for mean-field residuals, eigenvalue summaries of the design, and
-the closed-form Curie-Weiss rate quantities.
+the closed-form Curie-Weiss rate quantities.  The ratios are exact at
+beta* = 0 and bounded from below by one smooth search over theta elsewhere.
 """
 
 from __future__ import annotations
@@ -49,17 +50,18 @@ def psi(h, beta, h_star, beta_star, A):
     if db == 0.0:
         resid = float(np.sum((h - h_star) ** 2))
         return PsiValue(resid, 0.0, resid)
-    frob, resid = _psi_terms(h - h_star, db, beta_star, h_star, A)
+    frob, resid, *_ = _psi_terms(h - h_star, db, beta_star, h_star, A)
     return PsiValue(frob + resid, frob, resid)
 
 
 def _psi_terms(dh, db, beta_star, h_star, A):
     """psi's Frobenius and residual terms at h = h* + dh, beta = beta* + db,
-    for db != 0."""
+    for db != 0, then the residual vector and the tanh vector (the search's
+    gradient reuses both)."""
     frob = db ** 2 * A.frobenius ** 2
-    arg = (beta_star / db) * -dh + h_star
-    vec = dh + db * A.matvec(np.tanh(arg))
-    return frob, float(vec @ vec)
+    tanh = np.tanh((beta_star / db) * -dh + h_star)
+    vec = dh + db * A.matvec(tanh)
+    return frob, float(vec @ vec), vec, tanh
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +76,8 @@ class ComplexityEstimate:
     the analogous ratio with (beta - beta*)^2 in the numerator; ``c1``
     applies the unit-psi switch (plain squared distance when the
     proximity is below 1) along the c1' witness ray.  At beta* = 0 c1'
-    and c2' are exact; elsewhere they are certified lower bounds from a
-    search, with the best ray found as the witness.
+    and c2' are exact; elsewhere they are certified lower bounds from an
+    L-BFGS search over theta-space steps, with the best ray as the witness.
     """
 
     c1_prime: float
@@ -86,64 +88,8 @@ class ComplexityEstimate:
     degenerate: bool = False
 
 
-# random start directions of the d > 1 search, besides the d axes
-_RESTARTS = 24
-# log|lambda| grid of the slope scan: 49 points over [1e-6, 1e6]
-_LOG_SLOPES = np.linspace(np.log(1e-6), np.log(1e6), 49)
-
-
-def _best_lambda(w_hat, beta_star, h_star, A):
-    """Best slope for the unit field direction ``w_hat``.
-
-    psi is quadratic along the ray h = h* + t w_hat, beta = beta* + t lam,
-    so both ratios depend on the direction only: with Q = psi at t = 1,
-    c1' = 1 / (n Q) and c2' = lam^2 / Q.  A scan of |lam| over the log
-    grid :data:`_LOG_SLOPES` for both signs is refined by golden-section
-    search for c1' on log|lam| around the best grid point.  Returns (c1',
-    lam, the largest c2' over every evaluated slope, the number of psi
-    evaluations).
-    """
-    best, best2 = (1.0 / A.n, 0.0), 0.0
-    evals = 0
-
-    def ratio(lam):
-        nonlocal best2, evals
-        frob, resid = _psi_terms(w_hat, lam, beta_star, h_star, A)
-        evals += 1
-        q = frob + resid
-        best2 = max(best2, lam ** 2 / q)
-        return 1.0 / (A.n * q)
-
-    for sign in (1.0, -1.0):
-        vals = [ratio(sign * np.exp(lg)) for lg in _LOG_SLOPES]
-        k = int(np.argmax(vals))
-        if vals[k] > best[0]:
-            best = (vals[k], sign * np.exp(_LOG_SLOPES[k]))
-        # golden-section refinement on log scale around the best grid cell
-        a = _LOG_SLOPES[max(k - 1, 0)]
-        b = _LOG_SLOPES[min(k + 1, len(_LOG_SLOPES) - 1)]
-        phi = (np.sqrt(5.0) - 1.0) / 2.0
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        f1 = ratio(sign * np.exp(x1))
-        f2 = ratio(sign * np.exp(x2))
-        for _ in range(60):
-            if f1 < f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + phi * (b - a)
-                f2 = ratio(sign * np.exp(x2))
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - phi * (b - a)
-                f1 = ratio(sign * np.exp(x1))
-        fm, lm = max((f1, x1), (f2, x2))
-        if fm > best[0]:
-            best = (fm, sign * np.exp(lm))
-    return best[0], best[1], best2, evals
-
-
 def _closed_form(X, h_star, A):
-    """The exact suprema at beta* = 0, returned as by :func:`_ray_search`.
+    """The exact suprema at beta* = 0, returned as by :func:`_theta_search`.
 
     The tanh argument is then h* on every ray, so along a unit direction
     w with slope lam, psi = 1 + 2 lam (w . u) + lam^2 D, u = A tanh(h*),
@@ -170,89 +116,93 @@ def _closed_form(X, h_star, A):
             coef / np.linalg.norm(coef), -np.sqrt(p) / big_d, {"evals": 0})
 
 
-def _ray_search(X, h_star, beta_star, A, seed):
+# random theta directions of the beta* != 0 search, each tried with both signs
+_RANDOM_STARTS = 8
+
+
+def _theta_search(X, h_star, beta_star, A, seed):
     """(c1', c2', unit field direction, theta direction, slope, telemetry)
-    of the best ray found, or None when X gives no direction: the slope
-    search :func:`_best_lambda` over both directions for d = 1, else over
-    24 random restarts and the d axes, then coordinate ascent."""
-    rng = np.random.default_rng(seed)
-    d = X.shape[1]
-    if d == 1:
-        us = [np.array([1.0]), np.array([-1.0])]
-    else:
-        us = [rng.standard_normal(d) for _ in range(_RESTARTS)]
-        us += [e for e in np.eye(d)]
-    directions = []
-    for u in us:
-        u = u / np.linalg.norm(u)
-        w = X @ u
-        norm = np.linalg.norm(w)
-        if norm > 1e-12:
-            directions.append((w / norm, u))
-    if not directions:
+    at beta* != 0, or None when X gives no direction.  L-BFGS maximizes
+    ||X phi||^2 / psi from the closed-form witness and random starts of both
+    signs, and minimizes psi from that witness and phi = 0, with
+    d psi / d(X phi) = 2 (r - beta* sech^2(h* - beta* X phi) A r), r the
+    residual vector.  c2' is 1 / (the least psi evaluated); c1' is read at
+    the best phi's unit field step, or is 1/n (beta = beta*) if larger."""
+    closed = _closed_form(X, h_star, A)
+    if closed is None:
         return None
+    from scipy.optimize import minimize  # 0.2-0.4 s to import: not at load
 
-    evals, best2 = 0, 0.0
+    evals, best, least = 0, (-np.inf, None), np.inf
 
-    def search(w_hat):
-        nonlocal evals, best2
-        val, lam, val2, ev = _best_lambda(w_hat, beta_star, h_star, A)
-        evals += ev
-        best2 = max(best2, val2)
-        return val, lam
+    def objective(phi, ratio):
+        # log(psi / ||X phi||^2) if ratio else psi, with the gradient in phi
+        nonlocal evals, best, least
+        dh = X @ phi
+        frob, resid, r, tanh = _psi_terms(dh, 1.0, beta_star, h_star, A)
+        q, norm2 = frob + resid, dh @ dh
+        evals, least = evals + 1, min(least, q)
+        if norm2 / q > best[0]:
+            best = (norm2 / q, phi.copy())
+        grad = 2.0 * (r - beta_star * (1.0 - tanh * tanh) * A.matvec(r))
+        if ratio:
+            return np.log(q / norm2), X.T @ (grad / q - 2.0 * dh / norm2)
+        return q, X.T @ grad
 
-    best = (-np.inf, None, None, None)
-    for w_hat, u in directions:
-        val, lam = search(w_hat)
-        if val > best[0]:
-            best = (val, w_hat, u, lam)
-    val, w_hat, u, lam = best
+    _, _, _, u, lam, _ = closed
+    warm = [u / (lam * np.linalg.norm(X @ u))] if lam != 0.0 else []
+    runs = [(x0, False) for x0 in warm + [np.zeros(X.shape[1])]]
+    runs += [(x0, True) for x0 in warm]
+    rng = np.random.default_rng(seed)
+    for _ in range(_RANDOM_STARTS):
+        phi = rng.standard_normal(X.shape[1])
+        phi *= 10.0 ** rng.uniform(-2.0, 2.0) / np.linalg.norm(X @ phi)
+        runs += [(phi, True), (-phi, True)]
+    for x0, ratio in runs:
+        # scipy's default gtol = 1e-5 stopped up to 1e-5 short in c1'
+        minimize(objective, x0, (ratio,), jac=True, method="L-BFGS-B",
+                 options={"ftol": 1e-15, "gtol": 1e-12})
 
-    if d > 1:  # coordinate ascent from the best start
-        for _ in range(3):
-            improved = False
-            for j in range(d):
-                for delta in (0.25, -0.25):
-                    cand = u.copy()
-                    cand[j] += delta
-                    w = X @ cand
-                    norm = np.linalg.norm(w)
-                    if norm <= 1e-12:
-                        continue
-                    v, lam_c = search(w / norm)
-                    if v > val:
-                        val, lam, u = v, lam_c, cand
-                        improved = True
-            if not improved:
-                break
-        u = u / np.linalg.norm(u)
-        w_hat = X @ u / np.linalg.norm(X @ u)
-    return (val, best2, w_hat, u, lam,
-            {"evals": evals, "directions": len(directions)})
+    dh = X @ best[1]
+    w_hat, lam = dh / np.linalg.norm(dh), 1.0 / np.linalg.norm(dh)
+    frob, resid, *_ = _psi_terms(w_hat, lam, beta_star, h_star, A)
+    val = 1.0 / (A.n * (frob + resid))
+    if val <= 1.0 / A.n:
+        val, lam = 1.0 / A.n, 0.0
+    return (val, 1.0 / least, w_hat, best[1] / np.linalg.norm(best[1]), lam,
+            {"evals": evals + 1, "starts": len(runs)})
 
 
 def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0, seed=0):
     """Supremum of the squared-error-to-psi ratios over a linear family.
 
-    ``family`` is ``("linear", X, radius)``: field directions X u / ||X u||,
-    parameters in the L2 ball of the given radius (another kind raises
-    ``ValueError``).  The ratios are constant along rays out of (h*,
-    beta*).  At beta* = 0, c1' and c2' are exact (:func:`_closed_form`, no
-    psi evaluated); elsewhere the tanh argument moves with the slope and
-    :func:`_ray_search` gives certified LOWER bounds.  ``c1`` is min(c1',
-    t_max^2 / n) along the witness ray, t_max the largest feasible step
-    in field scale.  ``degenerate`` flags an X with no nonzero direction;
-    ``search_telemetry`` counts psi evaluations and start directions.
+    ``family`` is ``("linear", X, radius)``: X a finite n x d design,
+    parameters in the L2 ball of the given radius.  The ratios are constant
+    along rays out of (h*, beta*); with beta step 1 and field step X phi,
+    psi = ||A||_F^2 + G(phi), G(phi) = ||X phi + A tanh(h* - beta* X phi)||^2,
+    so c1' = max(1/n, sup ||X phi||^2 / (n psi)) and c2' = 1 / min psi.  At
+    beta* = 0 or A = 0, G is a quadratic and both are exact
+    (:func:`_closed_form`, no psi evaluated); elsewhere :func:`_theta_search` gives certified
+    LOWER bounds.  ``c1`` is min(c1', t_max^2 / n) along the witness ray,
+    t_max the largest feasible step in field scale.  ``degenerate`` flags
+    an X with no nonzero column; ``search_telemetry`` counts psi
+    evaluations and L-BFGS starts.  Another family kind, or X and h* of the
+    wrong shape or not finite, raise ``ValueError`` before any work.
     """
     if family[0] != "linear":
         raise ValueError(f"unknown family kind {family[0]!r}")
     h_star = np.asarray(h_star, dtype=float)
-    X = np.atleast_2d(np.asarray(family[1], dtype=float))
+    X = np.asarray(family[1], dtype=float)
     radius = float(family[2])
-    if beta_star == 0.0:
+    if X.ndim != 2 or X.shape[0] != A.n or h_star.shape != (A.n,):
+        raise ValueError(f"X must be {A.n} x d and h* of length {A.n}, got "
+                         f"shapes {X.shape} and {h_star.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(h_star).all()):
+        raise ValueError("X and h* must be finite")
+    if beta_star == 0.0 or A.frobenius == 0.0:  # G is then a quadratic
         found = _closed_form(X, h_star, A)
     else:
-        found = _ray_search(X, h_star, beta_star, A, seed)
+        found = _theta_search(X, h_star, beta_star, A, seed)
     if found is None:
         return ComplexityEstimate(0.0, 0.0, 0.0, {}, {"evals": 0},
                                   degenerate=True)

@@ -257,26 +257,32 @@ def from_weighted_edges(edges, n):
     ``edges`` holds (i, j, weight) rows, as the (m, 3) array that
     :func:`read_edge_list` returns.  A pair listed more than once, in
     either order, counts once.  A self-loop, a repeat with a different
-    weight, a non-finite weight and an empty or all-zero edge set raise
-    ``ValueError``; an endpoint outside 0..n-1 raises
-    ``DanglingEdgeError``.  The symmetric matrix is divided by its largest
-    absolute row sum (the maximum degree for 0/1 weights), so its infinity
-    norm is 1.
+    weight, a non-finite weight, an endpoint that is not a finite integer
+    and an empty or all-zero edge set raise ``ValueError``; an endpoint
+    outside 0..n-1 raises ``DanglingEdgeError``.  The symmetric matrix is
+    divided by its largest absolute row sum (the maximum degree for 0/1
+    weights), so its infinity norm is 1.
     """
     e = np.asarray(edges, dtype=float)
     if e.size == 0:
         raise ValueError("empty edge set: maximum degree would be zero")
     if e.ndim != 2 or e.shape[1] != 3:
         raise ValueError("edges must be (i, j, weight) rows")
-    (i, j), w = e[:, :2].T.astype(np.int64), e[:, 2]
+    ends, w = e[:, :2], e[:, 2]
+    whole = (np.isfinite(ends) & (ends == np.trunc(ends))).all(axis=1)
+    if not whole.all():
+        k = np.argmin(whole)
+        raise ValueError(f"edge row {k} has endpoints {float(ends[k, 0])} "
+                         f"and {float(ends[k, 1])}, not finite integers")
     if not np.isfinite(w).all():
         raise ValueError("edge weights must be finite")
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    bad = (lo < 0) | (hi >= n)
+    bad = ((ends < 0) | (ends >= n)).any(axis=1)
     if bad.any():
-        k = np.argmax(bad)
+        i, j = map(int, ends[np.argmax(bad)])
         raise DanglingEdgeError(
-            f"edge ({i[k]},{j[k]}) references a node outside 0..{n - 1}")
+            f"edge ({i},{j}) references a node outside 0..{n - 1}")
+    i, j = ends.T.astype(np.int64)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
     loop = lo == hi
     if loop.any():
         raise ValueError(

@@ -91,10 +91,11 @@ def conditional_mean(model, sigma, i):
     return float(np.tanh(model.beta * field + model.h[i]))
 
 
-def spin_table(n):
-    """(2^n, n) matrix of all spin configurations; row index is the bit
-    pattern (bit i = 1 means sigma_i = +1)."""
-    idx = np.arange(2 ** n, dtype=np.int64)
+def spin_table(n, start, stop):
+    """Rows start..stop-1 of the (2^n, n) matrix of all spin
+    configurations; row index is the bit pattern (bit i = 1 means
+    sigma_i = +1)."""
+    idx = np.arange(start, stop, dtype=np.int64)
     return (((idx[:, None] >> np.arange(n)) & 1) * 2 - 1).astype(float)
 
 
@@ -118,8 +119,7 @@ def exact_summary(model):
     chunk = min(total, _ENUMERATION_CHUNK)
     log_w = np.empty(total)
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        spins = (((idx[:, None] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+        spins = spin_table(n, start, min(start + chunk, total))
         log_w[start:start + chunk] = _log_weights(model, spins, a_off)
 
     log_z = float(logsumexp(log_w))
@@ -127,8 +127,7 @@ def exact_summary(model):
     marginals = np.zeros(n)
     pair = np.zeros((n, n))
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        spins = (((idx[:, None] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+        spins = spin_table(n, start, min(start + chunk, total))
         p = probs[start:start + chunk]
         marginals += spins.T @ p
         pair += (spins * p[:, None]).T @ spins
@@ -354,7 +353,7 @@ def sweep_distribution(model, probs):
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (2 ** n,):
         raise ValueError("distribution length must be 2^n")
-    spins = spin_table(n)
+    spins = spin_table(n, 0, 2 ** n)
     p = probs.copy()
     idx = np.arange(2 ** n, dtype=np.int64)
     a = _gaussian_coupling(model)

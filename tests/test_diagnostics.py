@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +89,14 @@ class TestComplexityEstimate:
                                     np.ones(4), beta_star, A)
             assert est.degenerate and est.c1_prime == 0.0
             assert est.search_telemetry["evals"] == 0
+
+    def test_zero_matrix_takes_the_closed_form(self):
+        # with A = 0, psi = ||h - h*||^2 for every beta*: c2' is unbounded
+        A = InteractionMatrix.from_dense(np.zeros((5, 5)))
+        X = np.random.default_rng(0).normal(size=(5, 2))
+        est = c1_prime_estimate(("linear", X, 1.0), np.full(5, 0.3), 0.3, A)
+        assert est.c1_prime == 1.0 / 5 and est.c2_prime == np.inf
+        assert est.search_telemetry["evals"] == 0
 
     def test_unknown_family_kind(self):
         A = InteractionMatrix.curie_weiss(4)
@@ -218,6 +231,107 @@ class TestComplexityEstimate:
                                      1.0), rng.normal(size=15), beta_star, A)
         assert est.search_telemetry["evals"] == len(calls)
         assert (len(calls) > 0) == (instance != "beta_zero")
+
+    @staticmethod
+    def _d3_instance(beta_star):
+        # the d3 instance of test_evals_count_every_psi_evaluation
+        rng = np.random.default_rng(4)
+        A = random_symmetric_matrix(rng, 15)
+        X = rng.standard_normal((15, 3))
+        return ("linear", X, 1.0), rng.normal(size=15), beta_star, A
+
+    def test_search_gradients_match_central_differences(self, monkeypatch):
+        # every objective the search hands to L-BFGS, checked at points
+        # away from its starts
+        import scipy.optimize
+        runs = []
+        real = scipy.optimize.minimize
+
+        def recording(fun, x0, args, **kwargs):
+            runs.append((fun, args))
+            return real(fun, x0, args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        c1_prime_estimate(*self._d3_instance(0.2))
+        assert {args for _, args in runs} == {(True,), (False,)}
+        rng = np.random.default_rng(7)
+        for fun, args in [runs[0], runs[-1]]:
+            for _ in range(5):
+                phi = rng.standard_normal(3) * 10.0 ** rng.uniform(-1, 1)
+                _, grad = fun(phi, *args)
+                step = 1e-6 * np.linalg.norm(phi)
+                central = [(fun(phi + step * e, *args)[0]
+                            - fun(phi - step * e, *args)[0]) / (2 * step)
+                           for e in np.eye(3)]
+                np.testing.assert_allclose(grad, central, rtol=1e-6,
+                                           atol=1e-8 * np.abs(grad).max())
+
+    @pytest.mark.parametrize("instance", ["d3", "lower_bound"])
+    def test_small_beta_star_matches_closed_form(self, instance):
+        # G(phi) tends to the beta* = 0 quadratic, so the search's ratios
+        # tend to the closed form's
+        if instance == "d3":
+            fam, h_star, _, A = self._d3_instance(0.0)
+        else:
+            A = InteractionMatrix.block_partition(12, 3)
+            fam, h_star = ("linear", np.ones((12, 1)), 4.0), np.ones(12)
+        exact = c1_prime_estimate(fam, h_star, 0.0, A)
+        near = c1_prime_estimate(fam, h_star, 1e-9, A)
+        assert near.search_telemetry["evals"] > 0
+        assert near.c1_prime == pytest.approx(exact.c1_prime, rel=1e-6)
+        assert near.c2_prime == pytest.approx(exact.c2_prime, rel=1e-6)
+
+    def test_lower_bound_instance_c2_is_exact(self):
+        # phi + tanh(1 - phi/2) has a root in (-1, 0), so min G = 0 and
+        # c2' = 1/||A||_F^2 = 1/r
+        n, r = 12, 3
+        A = InteractionMatrix.block_partition(n, r)
+        est = c1_prime_estimate(("linear", np.ones((n, 1)), 4.0), np.ones(n),
+                                0.5, A)
+        assert est.c2_prime == pytest.approx(1.0 / r, rel=1e-9)
+
+    def test_witness_certifies_c1_prime(self):
+        fam, h_star, beta_star, A = self._d3_instance(0.2)
+        est = c1_prime_estimate(fam, h_star, beta_star, A)
+        wit = est.argmax_witness
+        assert wit["lambda_slope"] != 0.0
+        val = psi(wit["h"], wit["beta"], h_star, beta_star, A).value
+        assert est.c1_prime == pytest.approx(1.0 / (A.n * val), rel=1e-12)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize takes 0.2-0.4 s to import; only the beta* != 0
+        # search may load it
+        src = str(Path(diagnostics.__file__).resolve().parents[1])
+        code = ("import sys, isingreg; "
+                "assert 'scipy.optimize' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
+    @pytest.mark.parametrize("case", ["1d_x", "x_rows", "h_length",
+                                      "nan_x", "inf_h"])
+    def test_bad_inputs_rejected_before_any_work(self, monkeypatch, case):
+        def never(*args):
+            raise AssertionError("work done on bad input")
+
+        monkeypatch.setattr(diagnostics, "_closed_form", never)
+        monkeypatch.setattr(diagnostics, "_psi_terms", never)
+        n = 6
+        A = InteractionMatrix.curie_weiss(n)
+        X, h_star = np.ones((n, 2)), np.zeros(n)
+        if case == "1d_x":
+            X = np.ones(n)
+        elif case == "x_rows":
+            X = np.ones((n + 1, 2))
+        elif case == "h_length":
+            h_star = np.zeros(n - 1)
+        elif case == "nan_x":
+            X = np.full((n, 2), np.nan)
+        else:
+            h_star[2] = np.inf
+        match = "finite" if case in ("nan_x", "inf_h") else "must be 6 x d"
+        for beta_star in (0.0, 0.3):
+            with pytest.raises(ValueError, match=match):
+                c1_prime_estimate(("linear", X, 1.0), h_star, beta_star, A)
 
 
 class TestKLTV:

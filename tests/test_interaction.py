@@ -261,6 +261,28 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError, match="listed with weights"):
             from_weighted_edges([(0, 1, 0.5), (1, 2, 1.0), (1, 0, 0.25)], 3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("end", [0.5, 1.7, np.inf, -np.inf, np.nan])
+    def test_non_integer_endpoint_rejected(self, end):
+        # refused before the cast to int64, which would truncate 1.7 to 1
+        # and warn on inf and nan; the message names the first bad row
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (end, 2, 1.0), (0.5, 1, 1.0)]
+        with pytest.raises(ValueError, match="^edge row 2 has endpoints "
+                                             f"{end} and 2.0, not finite"):
+            from_weighted_edges(edges, 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_endpoint_beyond_int64_is_dangling(self):
+        with pytest.raises(DanglingEdgeError,
+                           match=r"^edge \(0,\d{301}\) references"):
+            from_weighted_edges([(0, 1, 1.0), (0, 1e300, 1.0)], 3)
+
+    @pytest.mark.filterwarnings("error")
+    def test_integral_float_endpoints_accepted(self):
+        A = from_weighted_edges(np.array([[0.0, 1.0, 1.0], [2.0, 1.0, 1.0]]),
+                                3)
+        assert A.dense()[1, 2] == 0.5
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_any_listing_of_a_graph_builds_one_matrix(self, data):
