@@ -19,7 +19,7 @@ import numpy as np
 
 def project_l2(v, radius):
     """Euclidean projection of a flat vector onto the L2 ball."""
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     norm = np.linalg.norm(v)
     if norm <= radius:
@@ -30,7 +30,7 @@ def project_l2(v, radius):
 def project_l1(v, radius):
     """Euclidean projection onto the L1 ball by the sort-based
     soft-threshold rule (Duchi et al. 2008)."""
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be nonnegative")
     if radius == 0:
         return np.zeros_like(v)
@@ -67,6 +67,10 @@ class FunctionClassModel:
             raise ValueError(f"unknown model kind {kind!r}")
         if kind == "mlp2" and l1_radius is not None:
             raise ValueError("L1 constraint is only supported for linear kinds")
+        for name, radius in (("l2_radius", l2_radius),
+                             ("l1_radius", l1_radius)):
+            if radius is not None and not radius >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {radius}")
         self.kind = kind
         self.params = {k: np.asarray(v, dtype=float) for k, v in params.items()}
         self.l2_radius = l2_radius

@@ -7,10 +7,14 @@ spin vector sigma is
     m_i = f_theta(x_i) + beta * (A sigma)_i,
 
 with the off-diagonal local field.  For linear f_theta this is jointly
-convex in (theta, beta); it is minimized by projected gradient descent
-with a backtracking (Armijo) line search, keeping theta inside its
-constraint balls and beta inside [-B, B] at every iterate.  Freezing
-beta at 0 recovers ordinary logistic regression (MPLE-0).
+convex in (theta, beta).  Every iterate keeps theta inside its
+constraint balls and beta inside [-B, B].  One-output linear models with
+d + 1 <= ``NEWTON_MAX_DIM`` are minimized by projected Newton, whose
+subproblem is solved exactly over the theta ball times the beta
+interval; every other model (``sparse_linear``, ``mlp2``, larger d, and
+the Potts fits) by projected gradient descent with a backtracking
+(Armijo) line search.  Freezing beta at 0 recovers ordinary logistic
+regression (MPLE-0).
 """
 
 from __future__ import annotations
@@ -27,6 +31,13 @@ from .models import FunctionClassModel
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-8
 ARMIJO_C = 1e-4
+# fit() takes projected Newton when d + 1 is at most this and PGD above it.
+# A Newton iteration forms H = Z^T W Z at n (d+1)^2 flops.  On
+# dimension-sweep instances (2 BLAS threads, 2 fits each) Newton and PGD
+# tie at n = 1024, d = 128 (0.029 s against 0.027 s), PGD wins at d = 256
+# (0.09 s against 0.13 s), and at n = 16384, d = 128 Newton wins 0.19 s
+# against 1.7 s.
+NEWTON_MAX_DIM = 128
 # the Barzilai-Borwein trial step is clipped to (0, MAX_STEP]
 MAX_STEP = 1.0
 
@@ -54,6 +65,9 @@ class PLProblem:
             raise ValueError("A, X, sigma sizes disagree")
         if not np.all(np.abs(sigma) == 1):
             raise ValueError("observed labels must be +/-1 spins")
+        if not self.beta_box >= 0:
+            raise ValueError(
+                f"beta_box must be nonnegative, got {self.beta_box}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_local", self.A.local_field(sigma))
@@ -70,8 +84,12 @@ class FitResult:
 
     ``stop_reason`` says why the solver stopped: ``"tol"`` (the
     projected-gradient norm reached the tolerance), ``"max_iters"`` or
-    ``"no_descent"`` (no step along the projected gradient lowered the
-    objective in floating point).  Only ``"tol"`` counts as converged.
+    ``"no_descent"``.  For projected gradient descent ``"no_descent"``
+    means no step along the projected gradient lowered the objective in
+    floating point; for projected Newton it means the line search found
+    no lower value, or the step's predicted decrease was below the
+    objective's rounding and the full step did not lower the
+    projected-gradient norm.  Only ``"tol"`` counts as converged.
     """
 
     theta_hat: dict
@@ -170,24 +188,32 @@ def projected_gradient_descent(objective, project, z0,
 
 def fit(problem, beta_frozen=None, max_iters=DEFAULT_MAX_ITERS,
         tol=DEFAULT_TOL, theta0=None, beta0=0.0):
-    """Projected gradient descent on (theta, beta) jointly.
+    """Minimize the negative log-PL over (theta, beta) jointly.
 
     ``beta_frozen`` pins beta to the given value (MPLE-0 uses 0);
-    otherwise beta is clipped to [-B, B] at every step.  theta stays
-    inside its constraint balls at every iterate.  Convergence means the
-    unit-step projected-gradient norm is at most ``tol``; for linear
-    field models the objective is convex, so the result is a global
-    minimizer up to that tolerance.
+    otherwise beta stays in [-B, B] at every iterate, and theta stays
+    inside its constraint balls.  A one-output ``linear`` model with
+    d + 1 <= ``NEWTON_MAX_DIM`` is fitted by projected Newton
+    (:func:`_fit_newton`); every other model by projected gradient
+    descent (:func:`projected_gradient_descent`).  Both stop at ``"tol"``
+    when the unit-step projected-gradient norm is at most ``tol``; for
+    linear field models the objective is convex, so the result is then a
+    global minimizer up to that tolerance.
     """
+    model = problem.model
+    if model.kind == "linear" and model.n_outputs == 1 and \
+            model.params["theta"].size + 1 <= NEWTON_MAX_DIM:
+        return _fit_newton(problem, beta_frozen, max_iters, tol, theta0,
+                           beta0)
     return _fit_pgd(problem, neg_log_pl, beta_frozen, max_iters, tol, theta0,
                     beta0)
 
 
-def _fit_pgd(problem, objective, beta_frozen, max_iters, tol, theta0, beta0):
-    """The fit driver shared by :func:`fit` and
-    :func:`isingreg.potts.fit_potts`: projected gradient descent on the
-    stacked iterate z = (theta..., beta), where ``objective(problem,
-    theta_flat, beta)`` returns ``(value, grad_theta_flat, grad_beta)``."""
+def _stacked(problem, objective, beta_frozen, theta0, beta0):
+    """The start point, projection and value-gradient map of both fit
+    drivers on the stacked iterate z = (theta..., beta), where
+    ``objective(problem, theta_flat, beta)`` returns ``(value,
+    grad_theta_flat, grad_beta)``.  A frozen beta gets a zero gradient."""
     model = problem.model
     if theta0 is None:
         theta0 = np.zeros(model.flatten().size)
@@ -208,9 +234,10 @@ def _fit_pgd(problem, objective, beta_frozen, max_iters, tol, theta0, beta0):
         grad = np.concatenate([g_th, [0.0 if beta_frozen is not None else g_b]])
         return value, grad
 
-    z, value, iters, pg_norm, stop_reason = projected_gradient_descent(
-        value_grad, project, z0, max_iters=max_iters, tol=tol)
+    return z0, project, value_grad
 
+
+def _result(model, z, value, iters, pg_norm, stop_reason):
     fitted = model.with_flat(z[:-1])
     return FitResult(
         theta_hat={k: v.copy() for k, v in fitted.params.items()},
@@ -221,6 +248,125 @@ def _fit_pgd(problem, objective, beta_frozen, max_iters, tol, theta0, beta0):
         stop_reason=stop_reason,
         model=fitted,
     )
+
+
+def _fit_pgd(problem, objective, beta_frozen, max_iters, tol, theta0, beta0):
+    """The projected-gradient fit driver of :func:`fit` and
+    :func:`isingreg.potts.fit_potts`."""
+    z0, project, value_grad = _stacked(problem, objective, beta_frozen,
+                                       theta0, beta0)
+    return _result(problem.model, *projected_gradient_descent(
+        value_grad, project, z0, max_iters=max_iters, tol=tol))
+
+
+def _fit_newton(problem, beta_frozen, max_iters, tol, theta0, beta0):
+    """Projected Newton (Lee, Sun & Saunders 2014) for a linear field.
+
+    The objective is a GLM in z = (theta, beta) with design Z = [X, A sigma]
+    and Hessian H = Z^T diag(1 - tanh^2 m) Z.  Each iteration evaluates
+    :func:`neg_log_pl` once, minimizes the quadratic model exactly over the
+    feasible set (:func:`_newton_point`) and line-searches along the step
+    with strict descent plus Armijo.  Once the model's decrease is below
+    the rounding of the objective, the full step is taken only if it
+    lowers the projected-gradient norm; otherwise the fit stops with
+    ``"no_descent"``.  Same stop reasons and telemetry as
+    :func:`projected_gradient_descent`.
+    """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    z0, project, value_grad = _stacked(problem, neg_log_pl, beta_frozen,
+                                       theta0, beta0)
+    Z = np.column_stack([problem.X, problem.local])
+    radius = problem.model.l2_radius
+    radius = np.inf if radius is None else radius
+    lo, hi = ((-problem.beta_box, problem.beta_box) if beta_frozen is None
+              else (beta_frozen, beta_frozen))
+    z = project(z0)
+    value, grad = value_grad(z)
+    if not np.isfinite(value):
+        raise NumericalFailure("objective is non-finite at the starting point")
+
+    def pg_norm_at(zz, gg):
+        return float(np.linalg.norm(zz - project(zz - gg)))
+
+    stop_reason = "max_iters"
+    for iters in range(1, max_iters + 1):
+        pg_norm = pg_norm_at(z, grad)
+        if pg_norm <= tol:
+            stop_reason = "tol"
+            break
+        w = 1.0 - np.tanh(Z @ z) ** 2
+        H = Z.T @ (w[:, None] * Z)
+        # a relative ridge keeps H, and the Schur complement of its beta
+        # entry, positive definite well above rounding when Z is rank
+        # deficient; with no curvature at all the step is a unit gradient one
+        H[np.diag_indices_from(H)] += 1e-12 * np.trace(H) or 1.0
+        step = project(_newton_point(H, H @ z - grad, radius, lo, hi)) - z
+        decrease = -float(grad @ step)
+        # below the rounding of the objective descent cannot be certified:
+        # the full step is then taken only if it lowers the projected gradient
+        rounding = decrease <= 1e-15 * abs(value)
+        for t in [1.0] if rounding else 0.5 ** np.arange(60):
+            z_new = project(z + t * step)
+            value_new, grad_new = value_grad(z_new)
+            if np.isfinite(value_new) and (
+                    pg_norm_at(z_new, grad_new) < pg_norm if rounding
+                    else (value_new < value and
+                          value_new <= value - ARMIJO_C * t * decrease)):
+                z, value, grad = z_new, value_new, grad_new
+                break
+        else:
+            stop_reason = "no_descent"
+            break
+    return _result(problem.model, z, value, iters, pg_norm, stop_reason)
+
+
+def _newton_point(H, c, radius, lo, hi):
+    """The exact minimizer of 1/2 y^T H y - c^T y over ||y_theta|| <= radius,
+    lo <= y_beta <= hi, for positive definite H (the last coordinate is beta).
+
+    Beta is first left free: eliminating it leaves the Schur complement
+    on theta.  If the resulting beta is outside [lo, hi], the optimum has
+    beta at the nearer end, because the minimum over theta is convex in
+    beta; theta is then solved again with beta fixed there.  A frozen
+    beta is the interval [b0, b0]; an infinite box or radius imposes no
+    bound.
+    """
+    Htt, h, hbb = H[:-1, :-1], H[:-1, -1], H[-1, -1]
+    theta = _ball_solve(Htt - np.outer(h, h) / hbb,
+                        c[:-1] - h * (c[-1] / hbb), radius)
+    beta = (c[-1] - h @ theta) / hbb
+    if not lo <= beta <= hi:
+        beta = min(max(beta, lo), hi)
+        theta = _ball_solve(Htt, c[:-1] - h * beta, radius)
+    return np.append(theta, beta)
+
+
+def _ball_solve(S, b, radius):
+    """argmin 1/2 u^T S u - b^T u over ||u|| <= radius (More & Sorensen 1983).
+
+    S is positive definite.  One ``eigh`` of S; on the boundary u(mu) =
+    (S + mu I)^-1 b, with mu >= 0 found by Newton on 1/||u(mu)|| -
+    1/radius, which is concave in mu, so the iterates approach the root
+    from below and never overshoot.
+    """
+    if radius == 0:
+        return np.zeros_like(b)
+    lam, Q = np.linalg.eigh(S)
+    bt = Q.T @ b
+    u = bt / lam
+    norm = float(np.linalg.norm(u))
+    mu = 0.0
+    for _ in range(100):
+        if norm <= radius * (1.0 + 1e-12):
+            break
+        mu += (1.0 / radius - 1.0 / norm) * norm ** 3 / float(
+            np.sum(bt ** 2 / (lam + mu) ** 3))
+        u = bt / (lam + mu)
+        norm = float(np.linalg.norm(u))
+    if norm > radius:
+        u *= radius / norm
+    return Q @ u
 
 
 def predict_binary(A, X, model, beta, known_idx, known_values, targets):

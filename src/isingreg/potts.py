@@ -84,6 +84,9 @@ class PottsProblem:
             raise ValueError("labels must lie in 0..K-1")
         if self.model.n_outputs != self.K:
             raise ValueError("model must emit K outputs")
+        if not self.beta_box >= 0:
+            raise ValueError(
+                f"beta_box must be nonnegative, got {self.beta_box}")
         sites = (np.arange(n) if self.sites is None
                  else np.asarray(self.sites, dtype=np.int64))
         known = (np.arange(n) if self.known is None

@@ -217,6 +217,32 @@ class TestExitCodes:
                         "--nodes", nodes, "--edges", tmp_path / "edges.txt",
                         "--model", "linear", "--max-iters", "5"]) == 2
 
+    @pytest.mark.parametrize("nodes", ["binary", "toy"])
+    @pytest.mark.parametrize("flags", [
+        ["--beta-box", "-1"], ["--beta-box", "nan"], ["--l2", "-1"],
+        ["--l2", "nan"], ["--model", "sparse", "--l1", "nan"]])
+    def test_bad_box_or_radius_is_config_error(self, tmp_path, nodes, flags):
+        # refused before any fit: clipping to a negative box pins beta, and
+        # a NaN box or radius makes the starting objective non-finite
+        if nodes == "toy":
+            paths = [FIXTURES / "toy_nodes.csv", FIXTURES / "toy_edges.txt"]
+        else:
+            paths = [tmp_path / "nodes.csv", tmp_path / "edges.txt"]
+            paths[0].write_text("id,label,f1\n0,1,1.0\n1,-1,0.5\n2,1,-0.25\n")
+            paths[1].write_text("0 1\n1 2\n")
+        assert run_cli(["--out-dir", tmp_path, "fit", "--nodes", paths[0],
+                        "--edges", paths[1], "--max-iters", "5",
+                        *flags]) == 2
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_infinite_box_means_no_box(self, tmp_path):
+        assert run_cli(["--out-dir", tmp_path, "fit",
+                        "--nodes", FIXTURES / "toy_nodes.csv",
+                        "--edges", FIXTURES / "toy_edges.txt",
+                        "--beta-box", "inf", "--max-iters", "50"]) == 0
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        assert doc["beta_hat"] > 1.0
+
     @pytest.mark.parametrize("iters", ["0", "-1"])
     def test_non_positive_max_iters_is_config_error(self, tmp_path, iters):
         # no iteration means no gradient norm: refuse rather than write

@@ -125,14 +125,34 @@ class TestComplexityEstimate:
         A = InteractionMatrix.block_partition(n, r)
         ones = np.ones(n)
         est = c1_prime_estimate(("linear", np.ones((n, 1)), 4.0), ones, 0.5, A)
-        best = 0.0
-        for th in np.linspace(-3, 5, 801):
+        thetas, betas = np.linspace(-3, 5, 801), np.linspace(-8, 8, 801)
+        dense, db = A.dense(), betas - 0.5
+
+        def psi_row(th):
+            # psi(th * ones, b, ones, 0.5, A) at every grid b at once
+            dh = (th - 1.0) * ones
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tanh = np.tanh((0.5 / db)[:, None] * -dh + ones)
+                vec = dh + db[:, None] * (tanh @ dense.T)
+                return np.where(db == 0.0, dh @ dh,
+                                db ** 2 * A.frobenius ** 2
+                                + np.sum(vec * vec, axis=1))
+
+        best, at = 0.0, None
+        for i, th in enumerate(thetas):
             if abs(th - 1.0) < 1e-9:
                 continue
-            for b in np.linspace(-8, 8, 801):
-                val = psi(th * ones, b, ones, 0.5, A).value
-                if val > 0:
-                    best = max(best, (th - 1.0) ** 2 / val)
+            vals = psi_row(th)
+            ratios = np.where(vals > 0, (th - 1.0) ** 2 / vals, 0.0)
+            j = int(np.argmax(ratios))
+            if ratios[j] > best:
+                best, at = ratios[j], (i, j)
+        # the row oracle is psi itself, at the argmax and at seeded points
+        picks = np.random.default_rng(0).integers(0, 801, size=(100, 2))
+        for i, j in [at, *picks]:
+            assert psi_row(thetas[i])[j] == pytest.approx(
+                psi(thetas[i] * ones, betas[j], ones, 0.5, A).value,
+                rel=1e-12)
         assert est.c1_prime == pytest.approx(best, rel=1e-3)
 
     def test_closed_form_matches_brute_force_on_d1(self):

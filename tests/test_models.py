@@ -114,6 +114,12 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_l1(np.ones(2), -0.5)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError):
+            project_l2(np.ones(2), np.nan)
+        with pytest.raises(ValueError):
+            project_l1(np.ones(2), np.nan)
+
     def test_zero_radius_collapses_to_origin(self):
         np.testing.assert_array_equal(project_l1(np.ones(3), 0.0), np.zeros(3))
         np.testing.assert_array_equal(project_l2(np.ones(3), 0.0), np.zeros(3))
@@ -153,6 +159,14 @@ class TestProjection:
                                        atol=1e-12)
             pb = project_params(b, l2, l1)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-10
+
+    @pytest.mark.parametrize("kwargs", [
+        {"l2_radius": -1.0}, {"l2_radius": np.nan}, {"l1_radius": -0.5},
+        {"l1_radius": np.nan}])
+    def test_bad_radius_rejected_when_built(self, kwargs):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            FunctionClassModel("sparse_linear", {"theta": np.zeros(2)},
+                               **kwargs)
 
     def test_mlp_rejects_l1(self):
         with pytest.raises(ValueError):

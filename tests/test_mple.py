@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from isingreg import (FunctionClassModel, InteractionMatrix, IsingModel,
-                      PLProblem, fit, gibbs_sample, neg_log_pl, predict_binary)
-from isingreg.mple import log2cosh
+                      PLProblem, fit, gibbs_sample, mple, neg_log_pl,
+                      predict_binary)
+from isingreg.harness import SWEEP_DEFAULTS, _sweep_instance
+from isingreg.models import project_l2
+from isingreg.mple import _newton_point, log2cosh, projected_gradient_descent
 
 from helpers import random_graph_matrix, random_spins, random_symmetric_matrix
 
@@ -248,6 +252,105 @@ class TestFit:
         with pytest.raises(ValueError):
             PLProblem(A, np.zeros((5, 2)), np.zeros(5),
                       FunctionClassModel.linear(2))
+        for box in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="beta_box"):
+                PLProblem(A, np.zeros((5, 2)), random_spins(rng, 5),
+                          FunctionClassModel.linear(2), beta_box=box)
+
+
+def sweep_problems():
+    """The eight frobenius-sweep fits of one ``rate-experiment`` op
+    (``--grid 4,16,64,256 --trials 2``, op seed 1010000000)."""
+    cfg = SWEEP_DEFAULTS["frobenius_sweep"]
+    for gi, r in enumerate((4, 16, 64, 256)):
+        for ti in range(2):
+            ds = _sweep_instance("frobenius_sweep", r,
+                                 1010000000 + 1000 * gi + ti, cfg)
+            yield PLProblem(ds.A, ds.X, ds.labels,
+                            FunctionClassModel.linear(cfg["d"], l2_radius=2.0),
+                            beta_box=1.0)
+
+
+def spy(monkeypatch, name):
+    calls = []
+    real = getattr(mple, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mple, name, wrapper)
+    return calls
+
+
+class TestNewton:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from(["box", "frozen", "free"]))
+    def test_subproblem_no_worse_than_projected_gradient(self, seed, beta):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 8))
+        M = rng.normal(size=(k, k)) * rng.uniform(0.1, 3.0)
+        H = M @ M.T + rng.uniform(1e-3, 1.0) * np.eye(k)
+        c = rng.normal(size=k) * rng.uniform(0.1, 10.0)
+        radius = float(rng.uniform(0.05, 3.0))
+        box, b0 = rng.uniform(0.01, 2.0), rng.uniform(-1.0, 1.0)
+        lo, hi = {"box": (-box, box), "frozen": (b0, b0),
+                  "free": (-np.inf, np.inf)}[beta]
+
+        def project(y):
+            out = y.copy()
+            out[:-1] = project_l2(y[:-1], radius)
+            out[-1] = np.clip(y[-1], lo, hi)
+            return out
+
+        def q(y):
+            return 0.5 * y @ H @ y - c @ y
+
+        y = _newton_point(H, c, radius, lo, hi)
+        assert np.linalg.norm(y[:-1]) <= radius * (1 + 1e-12)
+        assert lo <= y[-1] <= hi
+        y_pg, q_pg, *_ = projected_gradient_descent(
+            lambda yy: (q(yy), H @ yy - c), project, np.zeros(k),
+            max_iters=20_000, tol=1e-10)
+        assert q(y) <= q_pg + 1e-9 * max(1.0, abs(q_pg))
+
+    def test_sweep_fits_stop_at_tol_no_worse_than_pgd(self):
+        for prob in sweep_problems():
+            res = fit(prob)
+            pgd = mple._fit_pgd(prob, neg_log_pl, None, mple.DEFAULT_MAX_ITERS,
+                                mple.DEFAULT_TOL, None, 0.0)
+            assert res.stop_reason == "tol"
+            assert res.iterations <= 10
+            assert res.objective_value <= \
+                pgd.objective_value + 1e-12 * abs(pgd.objective_value)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"beta_frozen": 0.0}, {"beta_frozen": 0.4},
+        {"theta0": np.full(3, 0.5), "beta0": -0.5}])
+    def test_frozen_beta_and_warm_start_take_newton(self, monkeypatch, kwargs):
+        newton = spy(monkeypatch, "_fit_newton")
+        pgd = spy(monkeypatch, "_fit_pgd")
+        res = fit(linear_problem(np.random.default_rng(50), n=60), tol=1e-10,
+                  **kwargs)
+        assert len(newton) == 1 and not pgd
+        assert res.stop_reason == "tol"
+        if "beta_frozen" in kwargs:
+            assert res.beta_hat == kwargs["beta_frozen"]
+
+    @pytest.mark.parametrize("model", [
+        FunctionClassModel.linear(mple.NEWTON_MAX_DIM, l2_radius=2.0),
+        FunctionClassModel.sparse_linear(3, l1_radius=1.0),
+        FunctionClassModel.mlp2(3, width=4)], ids=["large_d", "sparse", "mlp"])
+    def test_other_models_take_pgd(self, monkeypatch, model):
+        newton = spy(monkeypatch, "_fit_newton")
+        pgd = spy(monkeypatch, "_fit_pgd")
+        rng = np.random.default_rng(51)
+        d = 3 if model.kind != "linear" else mple.NEWTON_MAX_DIM
+        prob = PLProblem(random_symmetric_matrix(rng, 40),
+                         rng.normal(size=(40, d)), random_spins(rng, 40),
+                         model)
+        fit(prob, max_iters=5)
+        assert len(pgd) == 1 and not newton
 
 
 class TestPredictBinary:

@@ -402,3 +402,6 @@ class TestFitAndPredict:
             PottsProblem(2, A, X, np.array([0, 1, 2, 0]), m)
         with pytest.raises(ValueError):
             PottsProblem(3, A, X, np.array([0, 1, 2, 0]), m)  # K mismatch
+        for box in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="beta_box"):
+                PottsProblem(2, A, X, np.array([0, 1, 1, 0]), m, beta_box=box)
