@@ -10,12 +10,13 @@ ordinary logistic MLE.
 import numpy as np
 from scipy.optimize import minimize
 
-from isingreg import FunctionClassModel, PLProblem, fit, gen_synthetic
+from isingreg import (FunctionClassModel, InteractionMatrix, PLProblem, fit,
+                      gen_synthetic)
 
 
 def main():
     n, d = 3000, 4
-    ds = gen_synthetic(n=n, d=d, matrix={"kind": "block", "r": 750},
+    ds = gen_synthetic(InteractionMatrix.block_partition(n, 750), d=d,
                        beta_star=0.6, seed=3)
     theta_star = ds.ground_truth["theta"]
     print(f"generated n={n} labels with beta*=0.6, ||theta*||="

@@ -37,12 +37,6 @@ def _out_dir(args):
     return out
 
 
-def _load_dataset(args):
-    if args.nodes and args.edges:
-        return load_citation(args.nodes, args.edges, args.splits)
-    raise ValueError("this command needs --nodes and --edges together")
-
-
 def _formats(text):
     """A --formats value: comma-separated names, each csv or svg."""
     formats = tuple(text.split(","))
@@ -82,7 +76,7 @@ def cmd_sample(args):
 
 def cmd_fit(args):
     out = _out_dir(args)
-    ds = _load_dataset(args)
+    ds = load_citation(args.nodes, args.edges)
     d = ds.X.shape[1]
     k = int(ds.labels.max()) + 1
     binary = set(np.unique(ds.labels)) <= {-1, 1}
@@ -121,7 +115,7 @@ def cmd_fit(args):
 
 def cmd_diagnose(args):
     out = _out_dir(args)
-    ds = _load_dataset(args)
+    ds = load_citation(args.nodes, args.edges)
     frob, spec, inf = ds.A.norms()
     kappa = diagnostics.kappa_and_restricted_eig(ds.X)
     h0 = np.zeros(ds.n)
@@ -191,7 +185,9 @@ def cmd_benchmark(args):
     if not seeds:
         raise ValueError("seeds must be nonempty")
     if args.nodes or args.edges or args.splits:
-        ds = _load_dataset(args)
+        if not (args.nodes and args.edges):
+            raise ValueError("benchmark needs --nodes and --edges together")
+        ds = load_citation(args.nodes, args.edges, args.splits)
         if not ds.splits:
             ds.splits = make_splits(ds.labels, seed=args.seed)
         name = Path(args.nodes).stem
@@ -242,7 +238,6 @@ def build_parser():
     p = sub.add_parser("fit", help="fit MPLE on a dataset")
     p.add_argument("--nodes", required=True)
     p.add_argument("--edges", required=True)
-    p.add_argument("--splits")
     p.add_argument("--model", default="linear",
                    choices=["linear", "sparse", "mlp"])
     p.add_argument("--classes", type=int, default=None)
@@ -258,7 +253,6 @@ def build_parser():
     p = sub.add_parser("diagnose", help="norms, kappa, psi, C1', KL report")
     p.add_argument("--nodes", required=True)
     p.add_argument("--edges", required=True)
-    p.add_argument("--splits")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("rate-experiment", help="run a rate-scaling sweep")

@@ -51,38 +51,19 @@ class Dataset:
                 "features": int(self.X.shape[1])}
 
 
-def _build_matrix(matrix, n):
-    """Interpret a matrix construction request.
+def gen_synthetic(A, d, theta_star=None, beta_star=0.0, features=None,
+                  seed=0, burn_in=50, thin=5):
+    """Draw one synthetic dependent-labels instance on the interaction
+    matrix ``A`` (n = ``A.n``).
 
-    Accepts an InteractionMatrix directly, or a dict
-    ``{"kind": "block", "r": r}`` or ``{"kind": "curie_weiss"}``.
+    Features are ``features`` when given, i.i.d. standard Gaussian
+    otherwise; the true field is the linear map h* = X theta* clipped to
+    [-M, M] with M = :data:`FIELD_BOUND` (the clip count is recorded and a
+    clip fraction above 10% aborts), and labels are one Gibbs sample of the
+    spin model (A, h*, beta*).  Fully determined by ``seed``.
     """
-    if isinstance(matrix, InteractionMatrix):
-        if matrix.n != n:
-            raise ValueError("matrix size does not match n")
-        return matrix
-    kind = matrix["kind"]
-    if kind == "block":
-        return InteractionMatrix.block_partition(n, matrix["r"])
-    if kind == "curie_weiss":
-        return InteractionMatrix.curie_weiss(n)
-    raise ValueError(f"unknown matrix construction {kind!r}")
-
-
-def gen_synthetic(n, d, matrix, theta_star=None, beta_star=0.0,
-                  features=None, seed=0, burn_in=50, thin=5):
-    """Draw one synthetic dependent-labels instance.
-
-    ``matrix`` is an InteractionMatrix of size n or a request that
-    ``_build_matrix`` reads (block or Curie-Weiss).  Features are
-    ``features`` when given, i.i.d. standard Gaussian otherwise; the true
-    field is the linear map h* = X theta* clipped to [-M, M] with
-    M = :data:`FIELD_BOUND` (the clip count is recorded and a clip fraction
-    above 10% aborts), and labels are one Gibbs sample of the spin model
-    (A, h*, beta*).  Fully determined by ``seed``.
-    """
+    n = A.n
     rng = np.random.default_rng(seed)
-    A = _build_matrix(matrix, n)
     if features is None:
         X = rng.standard_normal((n, d))
     else:

@@ -119,22 +119,22 @@ def _sweep_instance(kind, x, rng_seed, cfg):
         theta = np.concatenate([[cfg["theta_intercept"]],
                                 rng.standard_normal(d - 1)])
         theta[1:] *= cfg["theta_noise"] / max(np.linalg.norm(theta[1:]), 1e-12)
-        return gen_synthetic(n, d, {"kind": "block", "r": r},
+        return gen_synthetic(InteractionMatrix.block_partition(n, r), d,
                              theta_star=theta, beta_star=cfg["beta_star"],
                              features=X, seed=rng_seed)
     if kind == "n_sweep_random_features":
         n, d = int(x), cfg["d"]
         theta = rng.standard_normal(d)
         theta *= cfg["theta_norm"] / np.linalg.norm(theta)
-        return gen_synthetic(n, d, {"kind": "curie_weiss"},
+        return gen_synthetic(InteractionMatrix.curie_weiss(n), d,
                              theta_star=theta, beta_star=cfg["beta_star"],
                              seed=rng_seed)
     if kind == "dimension_sweep":
         n, d = cfg["n"], int(x)
         theta = rng.standard_normal(d)
         theta *= cfg["theta_norm"] / np.linalg.norm(theta)
-        return gen_synthetic(n, d, {"kind": "block", "r": cfg["r"]},
-                             theta_star=theta, beta_star=cfg["beta_star"],
+        return gen_synthetic(InteractionMatrix.block_partition(n, cfg["r"]),
+                             d, theta_star=theta, beta_star=cfg["beta_star"],
                              seed=rng_seed)
     if kind == "sparse_sweep":
         n, d = cfg["n"], cfg["d"]
@@ -143,8 +143,8 @@ def _sweep_instance(kind, x, rng_seed, cfg):
         theta = np.zeros(d)
         theta[support] = rng.standard_normal(cfg["support"])
         theta *= min(1.0, s / np.sum(np.abs(theta))) * 0.9
-        return gen_synthetic(n, d, {"kind": "block", "r": cfg["r"]},
-                             theta_star=theta, beta_star=cfg["beta_star"],
+        return gen_synthetic(InteractionMatrix.block_partition(n, cfg["r"]),
+                             d, theta_star=theta, beta_star=cfg["beta_star"],
                              seed=rng_seed)
 
 
@@ -320,7 +320,7 @@ def curie_weiss_experiment(alpha_grid, n, trials, seed=0):
         errs = []
         for ti in range(trials):
             rng_seed = seed + 1000 * gi + ti
-            ds = gen_synthetic(n, 1, A, theta_star=np.array([theta_star]),
+            ds = gen_synthetic(A, 1, theta_star=np.array([theta_star]),
                                beta_star=beta_star, features=X,
                                seed=rng_seed)
             model = FunctionClassModel.linear(1, l2_radius=2.0)

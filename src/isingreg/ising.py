@@ -16,6 +16,7 @@ enters a conditional.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -392,13 +393,13 @@ def sweep_distribution(model, probs):
 
 
 def serialize_spins(states):
-    """Spin vectors as +/-1 integer CSV rows."""
-    states = np.asarray(states, dtype=np.int64)
-    if states.ndim == 1:
-        states = states[None, :]
-    return "\n".join(",".join(str(int(v)) for v in row) for row in states) + "\n"
+    """Spin vectors as +/-1 integer CSV rows; one vector is one row."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.atleast_2d(states), fmt="%d", delimiter=",")
+    return buf.getvalue()
 
 
 def parse_spins(text):
-    rows = [r for r in text.strip().splitlines() if r.strip()]
-    return np.array([[int(v) for v in r.split(",")] for r in rows], dtype=np.int8)
+    """The rows :func:`serialize_spins` writes, as an int8 array."""
+    return np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.int8,
+                      ndmin=2)

@@ -98,7 +98,7 @@ class FitResult:
     iterations: int
     final_projected_grad_norm: float
     stop_reason: str
-    model: FunctionClassModel = field(repr=False, default=None)
+    model: FunctionClassModel = field(repr=False)
 
     @property
     def converged(self):

@@ -385,6 +385,53 @@ class TestExitCodes:
         assert not (tmp_path / csv).exists()
 
 
+    @pytest.mark.parametrize("nodes, edges, message", [
+        ("id,label,f1\n1,0,0.5\n2,1,0.1\n3,0,-0.2\n", "0 1\n",
+         "node ids must be exactly 0..n-1"),
+        ("id,label,f1\n0,0,0.5\n1,1,0.1\n2,0,-0.2\n", "0 1 0\n1 2 0.0\n",
+         "every edge weight is zero")], ids=["ids_from_one", "zero_weights"])
+    def test_bad_citation_files_are_config_errors(self, tmp_path, capsys,
+                                                  nodes, edges, message):
+        (tmp_path / "nodes.csv").write_text(nodes)
+        (tmp_path / "edges.txt").write_text(edges)
+        assert run_cli(["--out-dir", tmp_path, "fit",
+                        "--nodes", tmp_path / "nodes.csv",
+                        "--edges", tmp_path / "edges.txt"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    def test_benchmark_split_outside_the_nodes(self, tmp_path, capsys):
+        splits = tmp_path / "splits.json"
+        splits.write_text(json.dumps({"train": [0, 1, 2, 3, 4, 5],
+                                      "val": [6, 7, 8], "test": [10]}))
+        assert run_cli(["--out-dir", tmp_path, "benchmark",
+                        "--nodes", FIXTURES / "toy_nodes.csv",
+                        "--edges", FIXTURES / "toy_edges.txt",
+                        "--splits", splits, "--benchmark-seeds", "1",
+                        "--model-kind", "linear"]) == 2
+        assert "split 'test' references nodes outside 0..9" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "benchmark.csv").exists()
+
+    def test_fit_classes_must_match_the_labels(self, tmp_path, capsys):
+        assert run_cli(["--out-dir", tmp_path, "fit",
+                        "--nodes", FIXTURES / "toy_nodes.csv",
+                        "--edges", FIXTURES / "toy_edges.txt",
+                        "--classes", "5"]) == 2
+        assert "--classes 5 but data has 3" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_splits_is_not_an_option_of(self, tmp_path, capsys, command):
+        # both commands read every label, so a split file would be ignored
+        assert run_cli(["--out-dir", tmp_path, command,
+                        "--nodes", FIXTURES / "toy_nodes.csv",
+                        "--edges", FIXTURES / "toy_edges.txt",
+                        "--splits", FIXTURES / "toy_splits.json"]) == 2
+        assert "unrecognized arguments: --splits" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
+
 class TestDeterminism:
     def test_sample_rerun_identical_csv(self, tmp_path):
         for sub in ("a", "b"):

@@ -17,7 +17,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 class TestGenSynthetic:
     def test_deterministic(self):
-        kw = dict(n=30, d=3, matrix={"kind": "block", "r": 3},
+        kw = dict(A=InteractionMatrix.block_partition(30, 3), d=3,
                   beta_star=0.4, seed=5)
         d1, d2 = gen_synthetic(**kw), gen_synthetic(**kw)
         np.testing.assert_array_equal(d1.X, d2.X)
@@ -27,7 +27,7 @@ class TestGenSynthetic:
 
     def test_beta_zero_gives_logistic_marginals(self):
         n = 2000
-        ds = gen_synthetic(n=n, d=2, matrix={"kind": "curie_weiss"},
+        ds = gen_synthetic(InteractionMatrix.curie_weiss(n), d=2,
                            theta_star=np.array([0.8, -0.3]), beta_star=0.0,
                            seed=3, burn_in=10, thin=1)
         h = np.clip(ds.X @ ds.ground_truth["theta"], -5, 5)
@@ -43,7 +43,7 @@ class TestGenSynthetic:
         X = np.linspace(-1, 1, n)[:, None]
         marg = exact_summary(IsingModel(A, X[:, 0] * 0.5, 0.4)).marginal_means
         draws = np.stack([
-            gen_synthetic(n=n, d=1, matrix=A, theta_star=theta, beta_star=0.4,
+            gen_synthetic(A, d=1, theta_star=theta, beta_star=0.4,
                           features=X, seed=s).labels
             for s in range(3000)
         ])
@@ -54,20 +54,20 @@ class TestGenSynthetic:
     def test_clipping_counter_and_abort(self):
         n = 50
         clean = np.full((n, 1), 3.0)
-        ds = gen_synthetic(n=n, d=1, matrix={"kind": "curie_weiss"},
+        ds = gen_synthetic(InteractionMatrix.curie_weiss(n), d=1,
                            theta_star=np.array([1.0]), features=clean,
                            seed=0)
         assert ds.ground_truth["clipped"] == 0
 
         spread = np.linspace(2.0, 5.2, n)[:, None]  # 3 entries above 5.0
         with pytest.warns(UserWarning):
-            ds2 = gen_synthetic(n=n, d=1, matrix={"kind": "curie_weiss"},
+            ds2 = gen_synthetic(InteractionMatrix.curie_weiss(n), d=1,
                                 theta_star=np.array([1.0]), features=spread,
                                 seed=0)
         assert ds2.ground_truth["clipped"] == int(np.sum(spread > 5.0))
 
         with pytest.raises(ValueError, match="clipped"):
-            gen_synthetic(n=n, d=1, matrix={"kind": "curie_weiss"},
+            gen_synthetic(InteractionMatrix.curie_weiss(n), d=1,
                           theta_star=np.array([2.0]), features=clean,
                           seed=0)
 

@@ -137,13 +137,15 @@ class TestGibbs:
         blocks = InteractionMatrix.block_partition(n, 3)
         dense = InteractionMatrix.from_dense(blocks.dense())
         h = np.linspace(-0.5, 0.5, n)
-        m_b = IsingModel(blocks, h, 0.4)
-        m_d = IsingModel(dense, h, 0.4)
-        e_b = exact_summary(m_b).marginal_means
-        e_d = exact_summary(m_d).marginal_means
-        np.testing.assert_allclose(e_b, e_d, atol=1e-12)
-        s_b = gibbs_sample(m_b, 3000, seed=5).mean(axis=0)
-        assert np.max(np.abs(s_b - e_b)) < 0.06
+        # beta < 0 runs the block sampler's single-site loop
+        for beta in (0.4, -0.9):
+            m_b = IsingModel(blocks, h, beta)
+            m_d = IsingModel(dense, h, beta)
+            e_b = exact_summary(m_b).marginal_means
+            e_d = exact_summary(m_d).marginal_means
+            np.testing.assert_allclose(e_b, e_d, atol=1e-12)
+            s_b = gibbs_sample(m_b, 3000, seed=5).mean(axis=0)
+            assert np.max(np.abs(s_b - e_b)) < 0.06
 
     def test_argument_validation(self):
         model = two_spin_model(0.1)

@@ -202,7 +202,7 @@ class TestFit:
             [(2 * i, 2 * i + 1) for i in range(n // 2)], n)
         b_errs, t_errs = [], []
         for seed in range(10):
-            ds = gen_synthetic(n=n, d=3, matrix=matching,
+            ds = gen_synthetic(matching, d=3,
                                beta_star=0.0, seed=seed, burn_in=30)
             prob = PLProblem(ds.A, ds.X, ds.labels.astype(float),
                              FunctionClassModel.linear(3, l2_radius=5.0),
@@ -323,6 +323,13 @@ class TestNewton:
             assert res.iterations <= 10
             assert res.objective_value <= \
                 pgd.objective_value + 1e-12 * abs(pgd.objective_value)
+
+    def test_zero_radius_fixes_theta_at_zero(self, monkeypatch):
+        newton = spy(monkeypatch, "_fit_newton")
+        res = fit(linear_problem(np.random.default_rng(52), l2_radius=0.0))
+        assert len(newton) == 1
+        np.testing.assert_array_equal(res.theta_hat["theta"], np.zeros(3))
+        assert res.stop_reason == "tol"
 
     @pytest.mark.parametrize("kwargs", [
         {"beta_frozen": 0.0}, {"beta_frozen": 0.4},
