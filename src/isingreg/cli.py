@@ -78,7 +78,6 @@ def cmd_fit(args):
     out = _out_dir(args)
     ds = load_citation(args.nodes, args.edges)
     d = ds.X.shape[1]
-    k = int(ds.labels.max()) + 1
     binary = set(np.unique(ds.labels)) <= {-1, 1}
     if args.model == "linear":
         maker = lambda n_out: FunctionClassModel.linear(
@@ -97,15 +96,12 @@ def cmd_fit(args):
                             beta_box=args.beta_box)
         fitter = fit
     else:
-        if args.classes and args.classes != k:
-            raise ValueError(f"--classes {args.classes} but data has {k}")
+        k = int(ds.labels.max()) + 1
         problem = PottsProblem(k, ds.A, ds.X, ds.labels, maker(k),
                                beta_box=args.beta_box)
         fitter = fit_potts
-    # start from the model's own initial weights: all-zero for the linear
-    # kinds, Glorot for mlp (all-zero weights are a stationary point there)
     res = fitter(problem, beta_frozen=args.beta_frozen, tol=args.tol,
-                 max_iters=args.max_iters, theta0=problem.model.flatten())
+                 max_iters=args.max_iters)
     path = out / "fit.json"
     path.write_text(res.to_json() + "\n")
     print(f"beta_hat={res.beta_hat:.6f} objective={res.objective_value:.6f} "
@@ -188,7 +184,7 @@ def cmd_benchmark(args):
         if not (args.nodes and args.edges):
             raise ValueError("benchmark needs --nodes and --edges together")
         ds = load_citation(args.nodes, args.edges, args.splits)
-        if not ds.splits:
+        if args.splits is None:
             ds.splits = make_splits(ds.labels, seed=args.seed)
         name = Path(args.nodes).stem
     else:
@@ -240,7 +236,6 @@ def build_parser():
     p.add_argument("--edges", required=True)
     p.add_argument("--model", default="linear",
                    choices=["linear", "sparse", "mlp"])
-    p.add_argument("--classes", type=int, default=None)
     p.add_argument("--beta-frozen", type=float, default=None)
     p.add_argument("--l1", type=float, default=1.0)
     p.add_argument("--l2", type=float, default=1.0)

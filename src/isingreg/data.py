@@ -52,7 +52,7 @@ class Dataset:
 
 
 def gen_synthetic(A, d, theta_star=None, beta_star=0.0, features=None,
-                  seed=0, burn_in=50, thin=5):
+                  seed=0, burn_in=50):
     """Draw one synthetic dependent-labels instance on the interaction
     matrix ``A`` (n = ``A.n``).
 
@@ -89,7 +89,7 @@ def gen_synthetic(A, d, theta_star=None, beta_star=0.0, features=None,
                       stacklevel=2)
 
     model = IsingModel(A, h, beta_star)
-    labels = gibbs_sample(model, 1, burn_in=burn_in, thin=thin,
+    labels = gibbs_sample(model, 1, burn_in=burn_in,
                           seed=int(rng.integers(2 ** 62)))[0]
     return Dataset(
         X=X,
@@ -97,7 +97,7 @@ def gen_synthetic(A, d, theta_star=None, beta_star=0.0, features=None,
         A=A,
         ground_truth={"theta": theta_star, "beta": float(beta_star),
                       "clipped": clipped,
-                      "gibbs": {"burn_in": burn_in, "thin": thin}},
+                      "gibbs": {"burn_in": burn_in}},
     )
 
 

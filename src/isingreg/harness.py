@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -386,19 +386,21 @@ def accuracy_benchmark(dataset, seeds, model_kind="mlp2", width=32,
     most 400 iterations and tolerance 1e-6; at test time predictions
     condition on the train and validation labels, never on test labels
     or features during training.  The MPLE-beta run warm-starts from the
-    converged MPLE-0 field parameters, so for non-convex field models the
-    comparison isolates what the interaction term adds rather than which
-    local optimum each run happens to find.  Empty ``seeds`` raise
-    ``ValueError``.
+    MPLE-0 fit's model, so for non-convex field models the comparison
+    isolates what the interaction term adds rather than which local
+    optimum each run happens to find.  The splits must hold ``train``,
+    ``val`` and ``test``, with ``train`` and ``test`` nonempty; otherwise,
+    and for empty ``seeds``, ``ValueError``.
     """
-    if not dataset.splits:
-        raise ValueError("dataset has no splits")
+    for name in ("train", "val", "test"):
+        if name not in dataset.splits:
+            raise ValueError(f"splits have no {name!r} split")
+        if name != "val" and len(dataset.splits[name]) == 0:
+            raise ValueError(f"split {name!r} is empty")
     if len(seeds) == 0:
         raise ValueError("seeds must be nonempty")
     K = int(dataset.labels.max()) + 1
-    train = dataset.splits["train"]
-    val = dataset.splits["val"]
-    test = dataset.splits["test"]
+    train, val, test = (dataset.splits[k] for k in ("train", "val", "test"))
     known_at_test = np.sort(np.concatenate([train, val]))
     table = ExperimentTable()
     accs = {"mple0": [], "mpleb": []}
@@ -409,16 +411,15 @@ def accuracy_benchmark(dataset, seeds, model_kind="mlp2", width=32,
         else:
             model = FunctionClassModel.linear(dataset.X.shape[1], n_outputs=K,
                                               l2_radius=None)
-        theta0 = model.flatten()
         problem = PottsProblem(K, dataset.A, dataset.X, dataset.labels, model,
                                beta_box=1.0, sites=train, known=train)
         config = {"kind": "benchmark", "dataset": dataset_name,
                   "model": model_kind, "width": width, "x": float(ti)}
         for method, frozen in (("mple0", 0.0), ("mpleb", None)):
             res = fit_potts(problem, beta_frozen=frozen, max_iters=400,
-                            tol=1e-6, theta0=theta0)
+                            tol=1e-6)
             if frozen == 0.0:
-                theta0 = res.model.flatten()
+                problem = replace(problem, model=res.model)
             pred = predict_class(dataset.A, dataset.X, res.model, res.beta_hat,
                                  known_at_test, dataset.labels[known_at_test],
                                  test)

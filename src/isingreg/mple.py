@@ -187,54 +187,57 @@ def projected_gradient_descent(objective, project, z0,
 
 
 def fit(problem, beta_frozen=None, max_iters=DEFAULT_MAX_ITERS,
-        tol=DEFAULT_TOL, theta0=None, beta0=0.0):
-    """Minimize the negative log-PL over (theta, beta) jointly.
+        tol=DEFAULT_TOL):
+    """Minimize the negative log-PL over (theta, beta) jointly, starting
+    from the parameters ``problem.model`` holds with beta = 0.
 
     ``beta_frozen`` pins beta to the given value (MPLE-0 uses 0);
     otherwise beta stays in [-B, B] at every iterate, and theta stays
-    inside its constraint balls.  A one-output ``linear`` model with
-    d + 1 <= ``NEWTON_MAX_DIM`` is fitted by projected Newton
-    (:func:`_fit_newton`); every other model by projected gradient
-    descent (:func:`projected_gradient_descent`).  Both stop at ``"tol"``
-    when the unit-step projected-gradient norm is at most ``tol``; for
-    linear field models the objective is convex, so the result is then a
-    global minimizer up to that tolerance.
+    inside its constraint balls.  A warm start is a model that already
+    holds parameters, such as an earlier fit's ``FitResult.model``.  A
+    one-output ``linear`` model with d + 1 <= ``NEWTON_MAX_DIM`` is
+    fitted by projected Newton (:func:`_fit_newton`); every other model
+    by projected gradient descent (:func:`projected_gradient_descent`).
+    Both stop at ``"tol"`` when the unit-step projected-gradient norm is
+    at most ``tol``; for linear field models the objective is convex, so
+    the result is then a global minimizer up to that tolerance.
     """
     model = problem.model
     if model.kind == "linear" and model.n_outputs == 1 and \
             model.params["theta"].size + 1 <= NEWTON_MAX_DIM:
-        return _fit_newton(problem, beta_frozen, max_iters, tol, theta0,
-                           beta0)
-    return _fit_pgd(problem, neg_log_pl, beta_frozen, max_iters, tol, theta0,
-                    beta0)
+        return _fit_newton(problem, beta_frozen, max_iters, tol)
+    return _fit_pgd(problem, neg_log_pl, beta_frozen, max_iters, tol)
 
 
-def _stacked(problem, objective, beta_frozen, theta0, beta0):
-    """The start point, projection and value-gradient map of both fit
-    drivers on the stacked iterate z = (theta..., beta), where
+def _stacked(problem, objective, beta_frozen):
+    """The start point, beta interval, projection and value-gradient map
+    of both fit drivers on the stacked iterate z = (theta..., beta), where
     ``objective(problem, theta_flat, beta)`` returns ``(value,
-    grad_theta_flat, grad_beta)``.  A frozen beta gets a zero gradient."""
+    grad_theta_flat, grad_beta)``.
+
+    The start is the model's own parameters with beta = 0, projected: the
+    linear kinds build all-zero weights unless given others, and ``mlp2``
+    builds Glorot weights, because all-zero weights are a stationary
+    point there.  Beta's interval is [-B, B], or [b, b] when beta is
+    frozen at b; the projection clips beta to it, so a frozen beta's
+    projected-gradient and step entries are exactly zero.
+    """
     model = problem.model
-    if theta0 is None:
-        theta0 = np.zeros(model.flatten().size)
-    z0 = np.concatenate([np.asarray(theta0, dtype=float).ravel(),
-                         [beta0 if beta_frozen is None else beta_frozen]])
+    lo, hi = ((-problem.beta_box, problem.beta_box) if beta_frozen is None
+              else (beta_frozen, beta_frozen))
 
     def project(zz):
         out = np.empty_like(zz)
         out[:-1] = model.project_flat(zz[:-1])
-        if beta_frozen is None:
-            out[-1] = np.clip(zz[-1], -problem.beta_box, problem.beta_box)
-        else:
-            out[-1] = beta_frozen
+        out[-1] = min(max(zz[-1], lo), hi)
         return out
 
     def value_grad(zz):
         value, g_th, g_b = objective(problem, zz[:-1], zz[-1])
-        grad = np.concatenate([g_th, [0.0 if beta_frozen is not None else g_b]])
-        return value, grad
+        return value, np.append(g_th, g_b)
 
-    return z0, project, value_grad
+    z0 = project(np.append(model.flatten(), 0.0))
+    return z0, (lo, hi), project, value_grad
 
 
 def _result(model, z, value, iters, pg_norm, stop_reason):
@@ -250,16 +253,15 @@ def _result(model, z, value, iters, pg_norm, stop_reason):
     )
 
 
-def _fit_pgd(problem, objective, beta_frozen, max_iters, tol, theta0, beta0):
+def _fit_pgd(problem, objective, beta_frozen, max_iters, tol):
     """The projected-gradient fit driver of :func:`fit` and
     :func:`isingreg.potts.fit_potts`."""
-    z0, project, value_grad = _stacked(problem, objective, beta_frozen,
-                                       theta0, beta0)
+    z0, _, project, value_grad = _stacked(problem, objective, beta_frozen)
     return _result(problem.model, *projected_gradient_descent(
         value_grad, project, z0, max_iters=max_iters, tol=tol))
 
 
-def _fit_newton(problem, beta_frozen, max_iters, tol, theta0, beta0):
+def _fit_newton(problem, beta_frozen, max_iters, tol):
     """Projected Newton (Lee, Sun & Saunders 2014) for a linear field.
 
     The objective is a GLM in z = (theta, beta) with design Z = [X, A sigma]
@@ -274,14 +276,11 @@ def _fit_newton(problem, beta_frozen, max_iters, tol, theta0, beta0):
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    z0, project, value_grad = _stacked(problem, neg_log_pl, beta_frozen,
-                                       theta0, beta0)
+    z, (lo, hi), project, value_grad = _stacked(problem, neg_log_pl,
+                                                beta_frozen)
     Z = np.column_stack([problem.X, problem.local])
     radius = problem.model.l2_radius
     radius = np.inf if radius is None else radius
-    lo, hi = ((-problem.beta_box, problem.beta_box) if beta_frozen is None
-              else (beta_frozen, beta_frozen))
-    z = project(z0)
     value, grad = value_grad(z)
     if not np.isfinite(value):
         raise NumericalFailure("objective is non-finite at the starting point")

@@ -171,14 +171,15 @@ def gibbs_sample_potts(A, X, model, beta, count, burn_in=50, thin=5, seed=0):
 
 
 def fit_potts(problem, beta_frozen=None, max_iters=DEFAULT_MAX_ITERS,
-              tol=DEFAULT_TOL, theta0=None, beta0=0.0):
-    """Projected gradient descent on the Potts pseudo-likelihood.
+              tol=DEFAULT_TOL):
+    """Projected gradient descent on the Potts pseudo-likelihood, starting
+    from the parameters ``problem.model`` holds with beta = 0.
 
     Same optimizer contract as :func:`isingreg.mple.fit`; convex for
     linear field models, local optimum for MLPs.
     """
     return _fit_pgd(problem, potts_objective_grad, beta_frozen, max_iters,
-                    tol, theta0, beta0)
+                    tol)
 
 
 def predict_class(A, X, model, beta, known_idx, known_labels, targets):

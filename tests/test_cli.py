@@ -11,6 +11,7 @@ import pytest
 import isingreg
 from isingreg import cli
 from isingreg.cli import _parse_with_config, build_parser, main
+from isingreg.data import make_splits
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -413,12 +414,32 @@ class TestExitCodes:
             capsys.readouterr().err
         assert not (tmp_path / "benchmark.csv").exists()
 
+    @pytest.mark.parametrize("splits, message", [
+        ({"train": [], "val": [6, 7, 8], "test": [9]}, "split 'train' is empty"),
+        ({"train": [0, 1, 2, 3, 4, 5], "val": [6, 7, 8], "test": []},
+         "split 'test' is empty"),
+        ({"train": [0, 1, 2, 3, 4, 5], "val": [6, 7, 8]},
+         "splits have no 'test' split")],
+        ids=["empty_train", "empty_test", "no_test"])
+    def test_benchmark_needs_train_and_test_splits(self, tmp_path, capsys,
+                                                   splits, message):
+        path = tmp_path / "splits.json"
+        path.write_text(json.dumps(splits))
+        assert run_cli(["--out-dir", tmp_path, "benchmark",
+                        "--nodes", FIXTURES / "toy_nodes.csv",
+                        "--edges", FIXTURES / "toy_edges.txt",
+                        "--splits", path, "--benchmark-seeds", "1",
+                        "--model-kind", "linear"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "benchmark.csv").exists()
+
     def test_fit_classes_must_match_the_labels(self, tmp_path, capsys):
+        # fit reads K from the labels, so --classes is not an option of it
         assert run_cli(["--out-dir", tmp_path, "fit",
                         "--nodes", FIXTURES / "toy_nodes.csv",
                         "--edges", FIXTURES / "toy_edges.txt",
                         "--classes", "5"]) == 2
-        assert "--classes 5 but data has 3" in capsys.readouterr().err
+        assert "unrecognized arguments: --classes 5" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("command", ["fit", "diagnose"])
@@ -452,6 +473,20 @@ class TestDeterminism:
         assert code == 0
         text = (tmp_path / "benchmark.csv").read_text()
         assert "acc_mpleb_mean" in text and "toy_nodes" in text
+
+    def test_benchmark_draws_splits_without_a_splits_file(self, tmp_path):
+        nodes, edges = FIXTURES / "toy_nodes.csv", FIXTURES / "toy_edges.txt"
+        labels = np.loadtxt(nodes, delimiter=",", skiprows=1, usecols=1)
+        splits = tmp_path / "splits.json"
+        splits.write_text(json.dumps({k: v.tolist() for k, v in
+                                      make_splits(labels, seed=1).items()}))
+        for sub, extra in (("drawn", []), ("given", ["--splits", splits])):
+            assert run_cli(["--seed", "1", "--out-dir", tmp_path / sub,
+                            "benchmark", "--nodes", nodes, "--edges", edges,
+                            *extra, "--benchmark-seeds", "2",
+                            "--model-kind", "linear", "--formats", "csv"]) == 0
+        assert (tmp_path / "drawn" / "benchmark.csv").read_bytes() == \
+            (tmp_path / "given" / "benchmark.csv").read_bytes()
 
     def test_rate_experiment_rerun_identical_csv(self, tmp_path):
         for sub in ("a", "b"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isingreg import (ExperimentTable, emit, harness, lower_bound_demo,
-                      rate_experiment)
+                      make_splits, rate_experiment)
 from isingreg.harness import (CSV_COLUMNS, accuracy_benchmark,
                               curie_weiss_experiment, loglog_slope,
                               planted_potts_dataset,
@@ -216,6 +216,15 @@ class TestBenchmark:
         for want in ("acc_mple0", "acc_mpleb", "acc_mple0_mean",
                      "acc_mple0_std", "acc_mpleb_mean", "acc_mpleb_std"):
             assert want in metrics
+
+    def test_drawn_splits_with_no_test_nodes_rejected(self):
+        # classes of fewer than 3 members go wholly to train
+        ds = planted_potts_dataset(n=40, K=2, seed=3)
+        with pytest.warns(UserWarning, match="wholly to train"):
+            ds.splits = make_splits(np.arange(40) // 2)
+        assert ds.splits["test"].size == 0
+        with pytest.raises(ValueError, match="split 'test' is empty"):
+            accuracy_benchmark(ds, seeds=[0])
 
     def test_missing_splits_rejected(self):
         ds = planted_potts_dataset(n=40, K=2, seed=3)

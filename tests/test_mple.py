@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from isingreg import (FunctionClassModel, InteractionMatrix, IsingModel,
-                      PLProblem, fit, gibbs_sample, mple, neg_log_pl,
-                      predict_binary)
+                      PLProblem, fit, gen_synthetic, gibbs_sample, mple,
+                      neg_log_pl, predict_binary)
 from isingreg.harness import SWEEP_DEFAULTS, _sweep_instance
 from isingreg.models import project_l2
 from isingreg.mple import _newton_point, log2cosh, projected_gradient_descent
@@ -126,10 +128,23 @@ class TestFit:
         res = fit(prob, tol=1e-9)
         assert np.linalg.norm(res.theta_hat["theta"]) <= 0.3 + 1e-12
         assert abs(res.beta_hat) <= 1.0
-        # restart from the solution: nothing to improve
-        res2 = fit(prob, theta0=res.theta_hat["theta"], beta0=res.beta_hat,
-                   tol=1e-9)
+        # restart from the fitted model: nothing to improve
+        res2 = fit(replace(prob, model=res.model), tol=1e-9)
         assert res2.objective_value <= res.objective_value + 1e-12
+
+    def test_mlp_starts_from_its_own_weights(self):
+        # all-zero weights are a stationary point of an mlp2 field
+        ds = gen_synthetic(InteractionMatrix.block_partition(200, 4), d=3,
+                           beta_star=0.4, seed=5)
+        model = FunctionClassModel.mlp2(3, width=8)
+        zero = FunctionClassModel("mlp2", {k: np.zeros_like(v) for k, v
+                                           in model.params.items()})
+        res = fit(PLProblem(ds.A, ds.X, ds.labels, model))
+        from_zero = fit(PLProblem(ds.A, ds.X, ds.labels, zero))
+        assert np.all(from_zero.model.flatten() == 0.0)
+        assert np.any(res.theta_hat["W1"] != 0.0)
+        assert np.any(res.theta_hat["W2"] != 0.0)
+        assert res.objective_value < from_zero.objective_value
 
     def test_objective_non_increasing_across_accepted_iterations(self):
         from isingreg.mple import neg_log_pl, projected_gradient_descent
@@ -318,7 +333,7 @@ class TestNewton:
         for prob in sweep_problems():
             res = fit(prob)
             pgd = mple._fit_pgd(prob, neg_log_pl, None, mple.DEFAULT_MAX_ITERS,
-                                mple.DEFAULT_TOL, None, 0.0)
+                                mple.DEFAULT_TOL)
             assert res.stop_reason == "tol"
             assert res.iterations <= 10
             assert res.objective_value <= \
@@ -333,12 +348,17 @@ class TestNewton:
 
     @pytest.mark.parametrize("kwargs", [
         {"beta_frozen": 0.0}, {"beta_frozen": 0.4},
-        {"theta0": np.full(3, 0.5), "beta0": -0.5}])
+        {"theta": np.full(3, 0.5)}])
     def test_frozen_beta_and_warm_start_take_newton(self, monkeypatch, kwargs):
         newton = spy(monkeypatch, "_fit_newton")
         pgd = spy(monkeypatch, "_fit_pgd")
-        res = fit(linear_problem(np.random.default_rng(50), n=60), tol=1e-10,
-                  **kwargs)
+        prob = linear_problem(np.random.default_rng(50), n=60)
+        if "theta" in kwargs:
+            # a warm start is a model that already holds parameters
+            prob = replace(prob, model=FunctionClassModel.linear(
+                3, theta=kwargs["theta"], l2_radius=2.0))
+            kwargs = {}
+        res = fit(prob, tol=1e-10, **kwargs)
         assert len(newton) == 1 and not pgd
         assert res.stop_reason == "tol"
         if "beta_frozen" in kwargs:

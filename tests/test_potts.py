@@ -376,6 +376,21 @@ class TestFitAndPredict:
                                       r2.theta_hat["theta"])
         assert abs(r1.beta_hat) <= 1.0
 
+    def test_mlp_starts_from_its_own_weights(self):
+        # all-zero weights are a stationary point of an mlp2 field
+        from isingreg.harness import planted_potts_dataset
+        ds = planted_potts_dataset(n=200, K=3, seed=0)
+        model = FunctionClassModel.mlp2(3, n_outputs=3, width=8)
+        zero = FunctionClassModel("mlp2", {k: np.zeros_like(v) for k, v
+                                           in model.params.items()},
+                                  n_outputs=3)
+        res = fit_potts(PottsProblem(3, ds.A, ds.X, ds.labels, model))
+        from_zero = fit_potts(PottsProblem(3, ds.A, ds.X, ds.labels, zero))
+        assert np.all(from_zero.model.flatten() == 0.0)
+        assert np.any(res.theta_hat["W1"] != 0.0)
+        assert np.any(res.theta_hat["W2"] != 0.0)
+        assert res.objective_value < from_zero.objective_value
+
     def test_isolated_target_prediction_is_field_argmax(self):
         A = InteractionMatrix.from_adjacency([(0, 1), (1, 2)], 4)
         X = np.array([[1.0, 0], [0, 1], [1, 1], [0.3, -0.2]])
