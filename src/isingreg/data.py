@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import interaction
 from .errors import DuplicateIdError, MalformedRowError, SplitError
-from .interaction import (InteractionMatrix, from_weighted_edges, load_rows,
+from .interaction import (InteractionMatrix, from_weighted_edges,
                           read_edge_list, write_edge_list)
 from .ising import IsingModel, gibbs_sample
 
@@ -23,6 +24,18 @@ FIELD_BOUND = 5.0
 MAX_CLIP_FRACTION = 0.10
 # train / val / test shares of every class in make_splits
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
+
+# bytes of a nodes file the byte scan reads at a time; its temporaries are a
+# few times this size, so it bounds their share of the reader's peak memory
+SCAN_CHUNK = 1 << 18
+# the bytes of a nodes file body in the scanned spelling
+_SPELLING = b"0123456789.-,\n"
+# a mantissa of at most 18 digits fits int64; one at most 2**53 is an exact
+# double, and so is 10**k for k <= 18, so m / 10**k is correctly rounded
+_MAX_DIGITS = 18
+_EXACT_MANTISSA = 2 ** 53
+_POW10 = np.array([float(10 ** k) for k in range(_MAX_DIGITS + 1)])
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
 
 @dataclass(eq=False)
@@ -154,18 +167,138 @@ def validate_splits(splits, n):
 # canonical file formats
 # ---------------------------------------------------------------------------
 
-def load_citation(nodes_path, edges_path, splits_path=None):
-    """Read the canonical nodes/edges/splits files into a Dataset.
+def _decimals(buf, starts):
+    """(mantissa, decimals, negative) of the cell that starts at each of
+    ``starts`` and runs to the next comma or newline, when every one is
+    spelled ``-?\\d+(\\.\\d+)?`` with at most 18 digits; None otherwise.
+    ``buf`` holds only digits, points, minus signs, commas and newlines and
+    ends in a newline."""
+    count = len(starts)
+    mantissa = np.zeros(count, dtype=np.int64)
+    lengths, digits, points, at = (np.zeros(count, dtype=np.int64)
+                                   for _ in range(4))
+    inside = np.ones(count, dtype=bool)
+    # one pass per character position, over the cells still that long
+    for j in range(_MAX_DIGITS + 3):
+        chars = buf.take(starts + j, mode="clip")
+        inside &= chars > ord(",")  # the delimiters sort below the rest
+        if j > _MAX_DIGITS + 1 or not inside.any():
+            break
+        value = chars - np.uint8(ord("0"))  # a point or minus wraps above 9
+        digit = inside & (value < 10)
+        point = inside & (chars == ord("."))
+        np.multiply(mantissa, 10, out=mantissa, where=digit)
+        np.add(mantissa, value, out=mantissa, where=digit)
+        np.add(at, j, out=at, where=point)
+        lengths += inside
+        digits += digit
+        points += point
+    negative = buf[starts] == ord("-")
+    # what is neither digit nor point is a minus, and only the first byte
+    # may be one; a point needs a digit on either side
+    if inside.any() or ((lengths - digits - points != negative) | (points > 1)
+                        | (digits == 0) | (digits > _MAX_DIGITS)
+                        | ((points == 1)
+                           & ((at <= negative) | (at >= lengths - 1)))).any():
+        return None
+    return mantissa, np.where(points == 1, lengths - 1 - at, 0), negative
 
-    The edge file is read by ``read_edge_list`` and the interaction matrix
-    built by ``from_weighted_edges``, as for every other edge file: it is
-    divided by its largest absolute row sum, the maximum degree for
-    unweighted edges.  Malformed rows (non-finite features and weights
-    included), duplicate node ids, dangling edge endpoints, and
-    overlapping splits each raise their own error type.
+
+class _Ranks:
+    """How many entries of a boolean array are set before each position,
+    from a running count over its packed bytes."""
+
+    def __init__(self, mask):
+        self.bits = np.packbits(mask, bitorder="little")
+        self.before = np.zeros(len(self.bits) + 1, dtype=np.int64)
+        np.cumsum(_POPCOUNT[self.bits], out=self.before[1:])
+
+    def __call__(self, at):
+        # bit i of packed byte b is entry 8b + i
+        low = self.bits[at >> 3] & ((1 << (at & 7)) - 1)
+        return self.before[at >> 3] + _POPCOUNT[low]
+
+
+def _scan_nodes(raw):
+    """(header cells, ids, labels, X, line numbers) of the nodes file bytes
+    ``raw`` when every cell is in the common spelling; None otherwise.
+
+    The spelling is an ASCII header, then rows of exactly d + 2 cells,
+    each row ending in ``\\n``, with no blank line; ids and labels are
+    ``-?\\d+`` and features ``-?\\d+(\\.\\d+)?``, of at most 18 digits,
+    whose digits read as an integer m <= 2**53.  The file is read in row
+    chunks of about :data:`SCAN_CHUNK` bytes: numpy comparisons find every
+    delimiter, a cell that is exactly ``0`` is skipped, and each other
+    feature is m / 10**k, the correctly rounded value that ``np.loadtxt``
+    reads too.
     """
-    nodes_path, edges_path = Path(nodes_path), Path(edges_path)
-    with nodes_path.open() as fh:
+    end = raw.find(b"\n")
+    if end < 0 or not raw.endswith(b"\n") or b"\r" in raw[:end]:
+        return None
+    try:
+        cols = raw[:end].decode("ascii").strip().split(",")
+    except UnicodeDecodeError:
+        return None
+    n, width = raw.count(b"\n") - 1, len(cols)
+    if cols[:2] != ["id", "label"] or n == 0:
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    X = np.zeros((n, width - 2))
+    flat = X.reshape(-1)
+    heads = np.zeros((n, 2), dtype=np.int64)
+    pos, row = end + 1, 0
+    while pos < len(raw):
+        stop = raw.rfind(b"\n", pos, pos + SCAN_CHUNK) + 1
+        if stop <= pos:  # a row longer than a chunk
+            stop = raw.find(b"\n", pos + SCAN_CHUNK) + 1
+        if raw[pos:stop].translate(None, _SPELLING):
+            return None
+        chunk = buf[pos:stop]
+        newline = chunk == ord("\n")
+        delim = newline | (chunk == ord(","))
+        # byte i opens a cell: the chunk starts after a newline.  A
+        # delimiter that opens a cell ends an empty one.
+        opens = np.empty_like(delim)
+        opens[0] = True
+        opens[1:] = delim[:-1]
+        if (delim & opens).any():
+            return None
+        ranks = _Ranks(delim)
+        # the k-th newline is the (k + 1)(d + 2)-th delimiter, and the chunk
+        # ends in a newline: each row has d + 2 cells
+        line_ends = np.flatnonzero(newline)
+        rows = len(line_ends)
+        if (ranks(line_ends) != np.arange(1, rows + 1) * width - 1).any():
+            return None
+        # a cell spelled exactly "0" is a '0' between two delimiters
+        zero = (chunk == ord("0")) & opens
+        zero[:-1] &= delim[1:]
+        starts = np.flatnonzero(opens & ~zero)
+        if starts.size:
+            cells = ranks(starts)
+            parsed = _decimals(chunk, starts)
+            if parsed is None:
+                return None
+            mantissa, k, negative = parsed
+            r, c = np.divmod(cells, width)
+            head = c < 2
+            feat = ~head
+            if k[head].any() or (mantissa[feat] > _EXACT_MANTISSA).any():
+                return None
+            ints = np.where(negative[head], -mantissa[head], mantissa[head])
+            heads[row + r[head], c[head]] = ints
+            values = mantissa[feat] / _POW10[k[feat]]
+            np.negative(values, out=values, where=negative[feat])
+            # cell r * width + c of the chunk is X[row + r, c - 2]
+            flat[row * (width - 2) + cells[feat] - 2 * r[feat] - 2] = values
+        pos, row = stop, row + rows
+    return cols, heads[:, 0], heads[:, 1], X, range(2, n + 2)
+
+
+def _load_node_rows(path):
+    """``_scan_nodes``'s tuple for any nodes file, by ``load_rows``, which
+    raises ``MalformedRowError`` naming the line of a refused cell or row."""
+    with path.open() as fh:
         header = fh.readline().strip()
         cols = header.split(",")
         if cols[:2] != ["id", "label"]:
@@ -173,19 +306,42 @@ def load_citation(nodes_path, edges_path, splits_path=None):
                 f"nodes header must start with 'id,label', got {header!r}")
         row = np.dtype([("id", np.int64), ("label", np.int64),
                         ("x", np.float64, (len(cols) - 2,))])
-        table, numbers = load_rows(fh, 2, f"{nodes_path.name}:", str.strip,
-                                   dtype=row, delimiter=",", comments=None)
-    n = len(table)
-    uniq, counts = np.unique(table["id"], return_counts=True)
+        table, numbers = interaction.load_rows(
+            fh, 2, f"{path.name}:", str.strip, dtype=row, delimiter=",",
+            comments=None)
+    return cols, table["id"], table["label"], table["x"], numbers
+
+
+def load_citation(nodes_path, edges_path, splits_path=None):
+    """Read the canonical nodes/edges/splits files into a Dataset.
+
+    A nodes file in the common spelling (plain decimals, ``\\n`` line ends,
+    see ``_scan_nodes``) is read by a byte scan; any other goes to
+    ``load_rows``, which gives the same X and labels bit for bit and is the
+    one parser that names the line of a malformed row.  The edge file is
+    read by ``read_edge_list`` and the interaction matrix built by
+    ``from_weighted_edges``, as for every other edge file: it is divided by
+    its largest absolute row sum, the maximum degree for unweighted edges.  Malformed rows (non-finite features and weights
+    included), duplicate node ids, dangling edge endpoints, and
+    overlapping splits each raise their own error type.
+    """
+    nodes_path, edges_path = Path(nodes_path), Path(edges_path)
+    cols, ids, y, X, numbers = (_scan_nodes(nodes_path.read_bytes())
+                                or _load_node_rows(nodes_path))
+    n = len(ids)
+    uniq, counts = np.unique(ids, return_counts=True)
     if len(uniq) != n:
         raise DuplicateIdError(
             f"duplicate node ids: {uniq[counts > 1][:5].tolist()}")
     if not np.array_equal(uniq, np.arange(n)):
         raise MalformedRowError("node ids must be exactly 0..n-1")
-    order = np.argsort(table["id"])
-    # fancy indexing makes C-contiguous copies, so the table can be freed
-    X, y = table["x"][order], table["label"][order]
-    del table
+    order = np.argsort(ids)
+    # fancy indexing makes C-contiguous copies, so a loadtxt table behind X
+    # is freed; a scanned X already in id order is kept as it is
+    if not (X.flags.c_contiguous and np.array_equal(ids, uniq)):
+        X = X[order]
+    y = y[order]
+    del ids
     # min and max propagate NaN and reach any infinity, and unlike
     # isfinite(X) they allocate no n x d temporary
     if not np.isfinite([X.min(initial=0.0), X.max(initial=0.0)]).all():

@@ -227,15 +227,44 @@ def _edge_row(raw):
     return f"{parts[0]} {parts[1]} 1" if len(parts) == 2 else raw
 
 
+_EDGE_CELLS = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
+
+
+def _uniform_edges(lines):
+    """The (m, 3) rows of ``lines`` by one ``np.loadtxt`` call, when every
+    line that is not blank has the first line's 2 or 3 cells and every
+    weight is finite; None otherwise, a ``#`` line included."""
+    cells = len(lines[0].split()) if lines else 0
+    if cells not in (2, 3):
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=_EDGE_CELLS[:cells], comments=None,
+                           ndmin=1)
+    except ValueError:
+        return None
+    w = table["w"] if cells == 3 else np.ones(len(table))
+    if not np.isfinite(w).all():
+        return None
+    return np.column_stack([table["i"], table["j"], w])
+
+
 def read_edge_list(lines):
     """Parse the text edge format: one ``i j [weight]`` per line, 0-indexed,
     whitespace separated, weight defaulting to 1.  Blank lines and lines
     starting with ``#`` are skipped.  Returns an (m, 3) float array of
     (i, j, weight) rows; a line that does not parse, or whose weight is not
-    finite, raises ``MalformedRowError`` naming its line number."""
+    finite, raises ``MalformedRowError`` naming its line number.
+
+    A file whose lines all have two cells, or all three, is parsed by one
+    ``np.loadtxt`` call over every line; any other, and any that call
+    refuses, goes through ``load_rows`` line by line, which gives the same
+    rows and names the line of an error."""
+    lines = list(lines)
+    edges = _uniform_edges(lines)
+    if edges is not None:
+        return edges
     table, numbers = load_rows(lines, 1, "line ", _edge_row, comments=None,
-                               dtype=[("i", np.int64), ("j", np.int64),
-                                      ("w", np.float64)])
+                               dtype=_EDGE_CELLS)
     w = table["w"]
     if not np.isfinite(w).all():
         k = np.argmax(~np.isfinite(w))

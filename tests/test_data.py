@@ -1,5 +1,8 @@
+import itertools
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from isingreg import (InteractionMatrix, IsingModel, exact_summary,
-                      gen_synthetic, load_citation, make_splits, save_citation)
-from isingreg.data import Dataset, validate_splits
+                      gen_synthetic, interaction, load_citation, make_splits,
+                      save_citation)
+from isingreg.data import Dataset, _scan_nodes, validate_splits
 from isingreg.errors import (DanglingEdgeError, DuplicateIdError,
                              MalformedRowError, SplitError)
 
@@ -280,3 +284,165 @@ class TestCitationFormat:
         ds = load_citation(FIXTURES / "toy_nodes.csv",
                            FIXTURES / "toy_edges.txt")
         assert list(ds.summary()) == ["classes", "nodes", "edges", "features"]
+
+
+# the spelling the byte scan reads: -?\d+(\.\d+)? of at most 18 digits,
+# which read as an integer of at most 2**53
+def _scanned(cell):
+    digits = cell.lstrip("-").replace(".", "")
+    return (re.fullmatch(r"-?\d+(\.\d+)?", cell) is not None
+            and len(digits) <= 18 and int(digits) <= 2 ** 53)
+
+
+def _with_point(digits, at, sign):
+    return sign + (digits if at == 0 else f"{digits[:at]}.{digits[at:]}")
+
+
+_BOUNDARY = st.builds(
+    _with_point, st.sampled_from([str(2 ** 53 - 1), str(2 ** 53),
+                                  str(2 ** 53 + 1)]),
+    st.integers(0, 15), st.sampled_from(["", "-"]))
+_SCANNABLE_CELLS = st.one_of(
+    st.sampled_from(["0", "0", "0", "1", "-0", "00", "0.0", "-0.0", "007.50"]),
+    st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,5})?", fullmatch=True),
+    _BOUNDARY,
+    # 16 and 17 significant digits
+    st.from_regex(r"-?(0\.[0-9]{16,17}|[1-9][0-9]{15,16}(\.[0-9])?)",
+                  fullmatch=True))
+_FEATURE_CELLS = st.one_of(
+    _SCANNABLE_CELLS,
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["+1", "1e3", "1E-2", " 1", "2 ", "\t2.5", ".5", "5.",
+                     "0.1234567890123456789"]))
+
+
+def _reference_parse(nodes, edges):
+    """X, labels and A of a nodes and an edge file by ``load_rows`` alone,
+    as every file was read before the byte scan."""
+    with nodes.open() as fh:
+        cols = fh.readline().strip().split(",")
+        row = np.dtype([("id", np.int64), ("label", np.int64),
+                        ("x", np.float64, (len(cols) - 2,))])
+        table, _ = interaction.load_rows(fh, 2, "", str.strip, dtype=row,
+                                         delimiter=",", comments=None)
+    with edges.open() as fh:
+        rows, _ = interaction.load_rows(fh, 1, "", interaction._edge_row,
+                                        comments=None,
+                                        dtype=interaction._EDGE_CELLS)
+    order = np.argsort(table["id"])
+    A = interaction.from_weighted_edges(
+        np.column_stack([rows["i"], rows["j"], rows["w"]]), len(table))
+    return table["x"][order], table["label"][order], A
+
+
+def _refuse_load_rows(*args, **kwargs):
+    raise AssertionError("the file left the fast path")
+
+
+class TestScannedNodes:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_load_rows(self, data):
+        n = data.draw(st.integers(2, 6))
+        d = data.draw(st.integers(0, 4))
+        ids = data.draw(st.permutations(range(n)))
+        rows = []
+        # a plain file has no spelling the scan refuses but for mantissas
+        # above 2**53, so that one such cell decides where the file goes
+        plain = data.draw(st.booleans())
+        for i in ids:
+            head = [data.draw(st.sampled_from([str(i), f"00{i}", f"+{i}"])),
+                    data.draw(st.sampled_from(["0", "1", "-1", "12", "+2"]))]
+            if plain:
+                head = [head[0].lstrip("+"), head[1].lstrip("+")]
+            cells = _SCANNABLE_CELLS if plain else _FEATURE_CELLS
+            rows.append(head + [data.draw(cells) for _ in range(d)])
+        lines = [",".join(["id", "label"] + [f"f{k + 1}" for k in range(d)])]
+        lines += [",".join(r) for r in rows]
+        blank = None if plain else data.draw(
+            st.sampled_from([None, "", "  \t"]))
+        if blank is not None:
+            lines.insert(data.draw(st.integers(2, n)), blank)
+        end = "\n" if plain else data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = end.join(lines) + (end if plain else data.draw(
+            st.sampled_from([end, ""])))
+        scanned = (blank is None and end == "\n" and text.endswith(end)
+                   and all(_scanned(c) for r in rows for c in r))
+        # small chunks put chunk ends inside rows and rows across chunks
+        chunk = data.draw(st.sampled_from([1 << 18, 1, 5, 16, 64]))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch("isingreg.data.SCAN_CHUNK", chunk):
+            nodes, edges = Path(tmp) / "nodes.csv", Path(tmp) / "edges.txt"
+            nodes.write_bytes(text.encode())
+            edges.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+            assert (_scan_nodes(nodes.read_bytes()) is not None) == scanned
+            X, labels, A = _reference_parse(nodes, edges)
+            ds = load_citation(nodes, edges)
+        assert ds.X.shape == X.shape and ds.X.tobytes() == X.tobytes()
+        assert ds.X.flags.c_contiguous
+        assert ds.labels.dtype == labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.labels, labels)
+        assert ds.A.dense().tobytes() == A.dense().tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "id,label,f1\n",  # header only
+        "id,label,f1\n0,0,1.0",  # no trailing newline
+        "id,label,f1\r\n0,0,1.0\r\n",
+        "id,label,f1\n0,0,1.0\n\n",
+        "id,label,f1\n0,0,\n",
+        "id,label,f1\n0,0,1.0,\n",
+        "id,label,f1\n0,0\n",
+        "id,label,f1\n0,0,1.\n",
+        "id,label,f1\n0,0,-.5\n",
+        "id,label,f1\n0,0,1.2.3\n",
+        "id,label,f1\n0,0,1-2\n",
+        "id,label,f1\n0,0,-\n",
+        "id,label,f1\n0,0.0,1\n",
+        "id,label,f1\n0,0,inf\n",
+        "id,label,f1\n0,0,0.00000000000000000001\n",
+        "id,label,f1\n0,0,9007199254740993\n",  # 2**53 + 1
+        "id,label,f1\n0,0,-9007199254.740993\n",
+        "id,label,f1\n0,0,1\n1,0,1,0\n",
+        "id,lab\rel,f1\n0,0,1\n",
+        "nodes,label,f1\n0,0,1\n",
+    ])
+    def test_other_spellings_fall_back(self, text):
+        assert _scan_nodes(text.encode()) is None
+
+    def test_scanned_spellings(self):
+        cells = ["-0", "007", "0.0000", "-12.5", "9007199254740992",
+                 "9.007199254740992", "0.9007199254740992"]
+        text = "id,label," + ",".join(f"f{k}" for k in range(len(cells)))
+        ids, labels, X = _scan_nodes(
+            f"{text}\n0,-3,{','.join(cells)}\n".encode())[1:4]
+        assert ids.tolist() == [0] and labels.tolist() == [-3]
+        assert X.tobytes() == np.array([[float(c) for c in cells]]).tobytes()
+        assert np.signbit(X[0, 0])
+
+    def test_fixtures_take_the_fast_path(self, tmp_path):
+        # a Cora-like file of 0/1 cells and a Pubmed-like file of sparse
+        # four-digit decimals, as perfbench/gendata.py writes them
+        rng = np.random.default_rng(0)
+        n, d = 300, 40
+        codes = rng.integers(1, 2000, size=(n, d)) * (rng.random((n, d)) < 0.1)
+        binary = [",".join(map(str, r)) for r in (rng.random((n, d)) < 0.05)
+                  .astype(int)]
+        decimal = [",".join("0" if c == 0 else f"0.{c:04d}" for c in r)
+                   for r in codes]
+        header = "id,label," + ",".join(f"f{k + 1}" for k in range(d)) + "\n"
+        (tmp_path / "edges.txt").write_text(
+            "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        paths = [(FIXTURES / "toy_nodes.csv", FIXTURES / "toy_edges.txt")]
+        for name, cells in (("binary.csv", binary), ("decimal.csv", decimal)):
+            (tmp_path / name).write_text(header + "".join(
+                f"{i},{i % 3},{row}\n" for i, row in enumerate(cells)))
+            paths.append((tmp_path / name, tmp_path / "edges.txt"))
+        for (nodes, edges), chunk in itertools.product(paths, (1 << 18, 999)):
+            X, labels, A = _reference_parse(nodes, edges)
+            with mock.patch.object(interaction, "load_rows",
+                                   _refuse_load_rows), \
+                    mock.patch("isingreg.data.SCAN_CHUNK", chunk):
+                ds = load_citation(nodes, edges)
+            assert ds.X.tobytes() == X.tobytes()
+            np.testing.assert_array_equal(ds.labels, labels)
+            assert ds.A.dense().tobytes() == A.dense().tobytes()

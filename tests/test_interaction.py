@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from isingreg import InteractionMatrix
+from isingreg import InteractionMatrix, interaction
 from isingreg.errors import DanglingEdgeError, MalformedRowError
 from isingreg.interaction import (from_weighted_edges, read_edge_list,
                                   write_edge_list)
@@ -247,6 +249,36 @@ class TestEdgeListFormat:
     def test_non_finite_weight_rejected(self, weight):
         with pytest.raises(MalformedRowError, match="line 2: weight"):
             read_edge_list(["0 1", f"1 2 {weight}"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_same_rows_as_load_rows(self, data):
+        cells = data.draw(st.sampled_from([2, 3, None]))  # None: mixed
+        weight = st.one_of(st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,4})?",
+                                         fullmatch=True),
+                           st.floats(-1e3, 1e3).map(repr))
+        edge = st.builds(lambda i, j, w, two: f"{i} {j}" if two
+                         else f"{i}\t{j}  {w}",
+                         st.integers(0, 30), st.integers(0, 30), weight,
+                         st.just(cells == 2) if cells else st.booleans())
+        other = st.sampled_from(["", "   ", "# note", "  #0 1", "#"])
+        lines = data.draw(st.lists(st.one_of(edge, edge, edge, other),
+                                   min_size=1, max_size=12))
+        end = data.draw(st.sampled_from(["\n", "\r\n", ""]))
+        lines = [line + end for line in lines]
+        counts = {len(line.split()) for line in lines if line.strip()}
+        uniform = (len(counts) == 1 and counts <= {2, 3}
+                   and bool(lines[0].strip())
+                   and not any("#" in line for line in lines))
+        table, _ = interaction.load_rows(lines, 1, "line ",
+                                         interaction._edge_row, comments=None,
+                                         dtype=interaction._EDGE_CELLS)
+        want = np.column_stack([table["i"], table["j"], table["w"]])
+        with mock.patch.object(interaction, "load_rows",
+                               wraps=interaction.load_rows) as spy:
+            got = read_edge_list(lines)
+        assert spy.called != uniform
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_from_weighted_edges(self):
         # absolute row sums 0.5, 0.75, 0.25: divided by 0.75
