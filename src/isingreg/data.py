@@ -220,17 +220,17 @@ class _Ranks:
 
 
 def _scan_nodes(raw):
-    """(header cells, ids, labels, X, line numbers) of the nodes file bytes
-    ``raw`` when every cell is in the common spelling; None otherwise.
+    """(header cells, ids, labels, X, None) of the nodes file bytes ``raw``
+    when every cell is in the common spelling; None otherwise.
 
     The spelling is an ASCII header, then rows of exactly d + 2 cells,
     each row ending in ``\\n``, with no blank line; ids and labels are
-    ``-?\\d+`` and features ``-?\\d+(\\.\\d+)?``, of at most 18 digits,
-    whose digits read as an integer m <= 2**53.  The file is read in row
-    chunks of about :data:`SCAN_CHUNK` bytes: numpy comparisons find every
-    delimiter, a cell that is exactly ``0`` is skipped, and each other
-    feature is m / 10**k, the correctly rounded value that ``np.loadtxt``
-    reads too.
+    ``-?\\d+`` and features ``-?\\d+(\\.\\d+)?``, each of at most 18
+    digits, and a feature's digits read as an integer m <= 2**53.  The
+    file is read in row chunks of about :data:`SCAN_CHUNK` bytes: numpy
+    comparisons find every delimiter, a cell that is exactly ``0`` is
+    skipped, and each other feature is m / 10**k, the correctly rounded
+    value that ``np.loadtxt`` reads too.
     """
     end = raw.find(b"\n")
     if end < 0 or not raw.endswith(b"\n") or b"\r" in raw[:end]:
@@ -240,7 +240,10 @@ def _scan_nodes(raw):
     except UnicodeDecodeError:
         return None
     n, width = raw.count(b"\n") - 1, len(cols)
-    if cols[:2] != ["id", "label"] or n == 0:
+    # deleting the spelling's bytes leaves the header's other bytes only
+    # when the body has no others
+    if cols[:2] != ["id", "label"] or n == 0 or raw.translate(
+            None, _SPELLING) != raw[:end].translate(None, _SPELLING):
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
     X = np.zeros((n, width - 2))
@@ -251,8 +254,6 @@ def _scan_nodes(raw):
         stop = raw.rfind(b"\n", pos, pos + SCAN_CHUNK) + 1
         if stop <= pos:  # a row longer than a chunk
             stop = raw.find(b"\n", pos + SCAN_CHUNK) + 1
-        if raw[pos:stop].translate(None, _SPELLING):
-            return None
         chunk = buf[pos:stop]
         newline = chunk == ord("\n")
         delim = newline | (chunk == ord(","))
@@ -292,12 +293,13 @@ def _scan_nodes(raw):
             # cell r * width + c of the chunk is X[row + r, c - 2]
             flat[row * (width - 2) + cells[feat] - 2 * r[feat] - 2] = values
         pos, row = stop, row + rows
-    return cols, heads[:, 0], heads[:, 1], X, range(2, n + 2)
+    return cols, heads[:, 0], heads[:, 1], X, None
 
 
 def _load_node_rows(path):
-    """``_scan_nodes``'s tuple for any nodes file, by ``load_rows``, which
-    raises ``MalformedRowError`` naming the line of a refused cell or row."""
+    """(header cells, ids, labels, X, line numbers) of any nodes file, by
+    ``load_rows``, which raises ``MalformedRowError`` naming the line of a
+    refused cell or row."""
     with path.open() as fh:
         header = fh.readline().strip()
         cols = header.split(",")
@@ -321,9 +323,10 @@ def load_citation(nodes_path, edges_path, splits_path=None):
     one parser that names the line of a malformed row.  The edge file is
     read by ``read_edge_list`` and the interaction matrix built by
     ``from_weighted_edges``, as for every other edge file: it is divided by
-    its largest absolute row sum, the maximum degree for unweighted edges.  Malformed rows (non-finite features and weights
-    included), duplicate node ids, dangling edge endpoints, and
-    overlapping splits each raise their own error type.
+    its largest absolute row sum, the maximum degree for unweighted edges.
+    Malformed rows (non-finite features and weights included), duplicate
+    node ids, dangling edge endpoints, and overlapping splits each raise
+    their own error type.
     """
     nodes_path, edges_path = Path(nodes_path), Path(edges_path)
     cols, ids, y, X, numbers = (_scan_nodes(nodes_path.read_bytes())
@@ -342,9 +345,12 @@ def load_citation(nodes_path, edges_path, splits_path=None):
         X = X[order]
     y = y[order]
     del ids
-    # min and max propagate NaN and reach any infinity, and unlike
-    # isfinite(X) they allocate no n x d temporary
-    if not np.isfinite([X.min(initial=0.0), X.max(initial=0.0)]).all():
+    # a scanned X holds quotients m / 10**k only, so the row parser, which
+    # gives the line numbers, is the one that can read inf or nan.  min and
+    # max propagate NaN and reach any infinity, and unlike isfinite(X) they
+    # allocate no n x d temporary.
+    if numbers is not None and not np.isfinite(
+            [X.min(initial=0.0), X.max(initial=0.0)]).all():
         node, col = np.argwhere(~np.isfinite(X))[0]
         raise MalformedRowError(
             f"{nodes_path.name}:{numbers[order[node]]}: node {node} feature "

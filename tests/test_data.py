@@ -389,6 +389,9 @@ class TestScannedNodes:
         "id,label,f1\n0,0,1.0",  # no trailing newline
         "id,label,f1\r\n0,0,1.0\r\n",
         "id,label,f1\n0,0,1.0\n\n",
+        "id,label,f1\n0,0,1.5\r\n",
+        "id,label,f1\n0,0,1 \n",
+        "id,label,f1\n0,0,1+\n",
         "id,label,f1\n0,0,\n",
         "id,label,f1\n0,0,1.0,\n",
         "id,label,f1\n0,0\n",
