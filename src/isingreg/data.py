@@ -308,6 +308,8 @@ def _load_node_rows(path):
                 f"nodes header must start with 'id,label', got {header!r}")
         row = np.dtype([("id", np.int64), ("label", np.int64),
                         ("x", np.float64, (len(cols) - 2,))])
+        # looked up on the module, so that one patch of load_rows reaches
+        # both text readers
         table, numbers = interaction.load_rows(
             fh, 2, f"{path.name}:", str.strip, dtype=row, delimiter=",",
             comments=None)
