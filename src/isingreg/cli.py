@@ -188,7 +188,7 @@ def cmd_benchmark(args):
             ds.splits = make_splits(ds.labels, seed=args.seed)
         name = Path(args.nodes).stem
     else:
-        ds = harness.planted_potts_dataset(n=args.n, K=args.classes or 3,
+        ds = harness.planted_potts_dataset(n=args.n, K=args.classes,
                                            seed=args.seed,
                                            beta_star=args.beta_star)
         name = "planted"

@@ -351,8 +351,11 @@ def planted_potts_dataset(n=200, K=3, seed=0, beta_star=0.5):
     the features at the given interaction strength.  Uninformative nodes
     are where neighbor labels carry signal the features lack.  With
     beta_star = 0 the labels are conditionally independent given the
-    features.  Splits are :func:`make_splits` at seed + 2.
+    features.  Splits are :func:`make_splits` at seed + 2.  K < 2 raises
+    ``ValueError``.
     """
+    if K < 2:
+        raise ValueError(f"planted Potts data needs K >= 2 classes, got {K}")
     rng = np.random.default_rng(seed)
     prototypes = rng.integers(0, K, size=n)
     # one uniform per pair i < j, in row-major order

@@ -33,9 +33,6 @@ ENUMERATION_CAP = 20
 _ENUMERATION_CHUNK = 2 ** 16
 DEFAULT_BURN_IN = 50
 DEFAULT_THIN = 5
-# a CSR colour class with fewer sites plus off-diagonal entries than this
-# is resampled site by site: numpy's fixed cost would outweigh its work
-_VECTOR_CLASS_MIN = 64
 # Gauss-Hermite nodes per block Gaussian in sweep_distribution
 _HERMITE_NODES = 80
 
@@ -54,6 +51,8 @@ class IsingModel:
         object.__setattr__(self, "beta", float(self.beta))
         if h.shape != (self.A.n,):
             raise ValueError("field length does not match node count")
+        if not (math.isfinite(self.beta) and np.isfinite(h).all()):
+            raise ValueError("beta and the field must be finite")
 
     @property
     def n(self):
@@ -171,31 +170,31 @@ def scan_order(A):
 
 
 def _colour_classes(A):
-    """The off-diagonal CSR of ``A`` and one ``(k0, sites, rows)`` per
-    class of :func:`scan_order`: its first scan position, its sites and
-    their off-diagonal rows.  No entry of ``rows`` joins two sites of the
-    class.  Raises ``ValueError`` on a block matrix."""
+    """One ``(k0, sites, rows)`` per class of :func:`scan_order`: its first
+    scan position, its sites and their off-diagonal CSR rows.  No entry
+    of ``rows`` joins two sites of the class.  Raises ``ValueError`` on a
+    block matrix."""
     if A._block_labels is not None:
         raise ValueError("colour classes need a CSR interaction matrix")
     order, bounds = scan_order(A)
     csr = A._csr
     off = csr - sp.diags(csr.diagonal(), format="csr")
     off.eliminate_zeros()
-    return off, [(k0, order[k0:k1], off[order[k0:k1]])
-                 for k0, k1 in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    return [(k0, order[k0:k1], off[order[k0:k1]])
+            for k0, k1 in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def _run_chain(run_sweep, state, count, burn_in, thin, dtype):
-    """``count`` copies of ``state``, which ``run_sweep`` updates in place:
-    the first after ``burn_in`` sweeps, each later one ``thin`` sweeps
-    after the one before."""
+    """``count`` copies of ``state``, an array of any shape that
+    ``run_sweep`` updates in place: the first after ``burn_in`` sweeps,
+    each later one ``thin`` sweeps after the one before."""
     if count < 1:
         raise ValueError("count must be at least 1")
     if thin < 1:
         raise ValueError("thin must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    out = np.empty((count, len(state)), dtype=dtype)
+    out = np.empty((count,) + state.shape, dtype=dtype)
     for _ in range(burn_in):
         run_sweep()
     for k in range(count):
@@ -213,6 +212,65 @@ def _gaussian_coupling(model):
         return None
     a = model.beta * model.A._block_value
     return a if a >= 0 else None
+
+
+def _sweeper(model, spins, rng):
+    """One Gibbs sweep of ``model``, as a function that updates ``spins``
+    in place: float +/-1 of shape (n,) for one chain or (n, m) for m
+    independent chains, one per column.  Each sweep draws its normals and
+    uniforms in the state's shape, so one chain draws what
+    :func:`gibbs_sample` documents."""
+    A, beta, n = model.A, model.beta, model.n
+    h = model.h.reshape((n,) + (1,) * (spins.ndim - 1))
+    labels = A._block_labels
+    if labels is None:
+        classes = _colour_classes(A)
+
+        def run_sweep():
+            u = rng.random(spins.shape)
+            for k0, sites, rows in classes:
+                p_plus = 0.5 * (1.0 + np.tanh(beta * (rows @ spins)
+                                              + h[sites]))
+                spins[sites] = np.where(u[k0:k0 + len(sites)] < p_plus,
+                                        1.0, -1.0)
+        return run_sweep
+
+    # block sums by one bincount: chain c's spin i goes to bin b(i) * m + c
+    nblocks, m = len(A._block_sizes), spins.size // n
+    cells = (labels[:, None] * m + np.arange(m)).ravel()
+    shape = (nblocks,) + spins.shape[1:]
+    a = _gaussian_coupling(model)
+    if a is not None:
+        sd = math.sqrt(a)
+
+        def run_sweep():
+            block_sum = np.bincount(cells, spins.ravel(), nblocks * m)
+            t = a * block_sum.reshape(shape) + sd * rng.standard_normal(shape)
+            p_plus = 0.5 * (1.0 + np.tanh(t[labels] + h))
+            spins[...] = np.where(rng.random(spins.shape) < p_plus, 1.0, -1.0)
+        return run_sweep
+
+    # Python scalars, one chain at a time: per-site numpy indexing and 0-d
+    # ufunc calls cost several times the arithmetic they do
+    hl, ll, value = model.h.tolist(), labels.tolist(), A._block_value
+
+    def run_sweep():
+        u = rng.random(spins.shape).reshape(n, m).T.tolist()
+        chains = spins.reshape(n, m).T.tolist()
+        sums = np.bincount(cells, spins.ravel(), nblocks * m)
+        sums = sums.reshape(nblocks, m).T.tolist()
+        for sigma, uc, block_sum in zip(chains, u, sums):
+            for i in range(n):
+                b = ll[i]
+                s = sigma[i]
+                field = value * (block_sum[b] - s)
+                p_plus = 0.5 * (1.0 + math.tanh(beta * field + hl[i]))
+                new = 1.0 if uc[i] < p_plus else -1.0
+                if new != s:
+                    block_sum[b] += new - s
+                    sigma[i] = new
+        spins[...] = np.reshape(np.transpose(chains), spins.shape)
+    return run_sweep
 
 
 def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
@@ -257,87 +315,16 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
     class is one numpy step: the product of its off-diagonal rows with
     the spins, one ``np.tanh``, one comparison and one write-back, so a
     sweep costs numpy's fixed per-call overhead once per class plus
-    O(nnz) arithmetic.  A class whose sites plus off-diagonal entries
-    number fewer than 64, as on small dense matrices where every class is
-    one site, is visited site by site on Python scalars, in O(row length)
-    per site.
+    O(nnz) arithmetic.
     """
     n = model.n
     rng = np.random.default_rng(seed)
     if initial is None:
-        sigma = rng.integers(0, 2, size=n) * 2 - 1
+        spins = (rng.integers(0, 2, size=n) * 2 - 1).astype(float)
     else:
-        sigma = _check_spins(initial, n).astype(np.int64)
-    beta = model.beta
-
-    A = model.A
-    a = _gaussian_coupling(model)
-    if a is not None:
-        h, labels = model.h, A._block_labels
-        nblocks = len(A._block_sizes)
-        spins = sigma.astype(float)
-        sd = math.sqrt(a)
-
-        def run_sweep():
-            block_sum = np.bincount(labels, weights=spins, minlength=nblocks)
-            t = a * block_sum + sd * rng.standard_normal(nblocks)
-            p_plus = 0.5 * (1.0 + np.tanh(t[labels] + h))
-            spins[:] = np.where(rng.random(n) < p_plus, 1.0, -1.0)
-    elif A._block_labels is not None:
-        # Python scalars: per-site numpy indexing and 0-d ufunc calls cost
-        # several times the arithmetic they do
-        h = model.h.tolist()
-        spins = sigma.tolist()
-        labels = A._block_labels.tolist()
-        value = A._block_value
-        block_sum = np.bincount(A._block_labels, weights=sigma,
-                                minlength=len(A._block_sizes)).tolist()
-
-        def run_sweep():
-            u = rng.random(n).tolist()
-            for i in range(n):
-                b = labels[i]
-                s = spins[i]
-                field = value * (block_sum[b] - s)
-                p_plus = 0.5 * (1.0 + math.tanh(beta * field + h[i]))
-                new = 1 if u[i] < p_plus else -1
-                if new != s:
-                    block_sum[b] += new - s
-                    spins[i] = new
-    else:
-        off, classes = _colour_classes(A)
-        spins = sigma.astype(float)
-        sv = memoryview(spins)
-        # one step (first scan position, sites, off-diagonal rows, fields)
-        # per class or, for a class too small to repay numpy's fixed cost,
-        # one step per site on Python scalars
-        steps = []
-        for k0, sites, rows in classes:
-            if len(sites) + rows.nnz >= _VECTOR_CLASS_MIN:
-                steps.append((k0, sites, rows, model.h[sites]))
-                continue
-            for k, i in enumerate(sites.tolist(), start=k0):
-                lo, hi = off.indptr[i], off.indptr[i + 1]
-                row = list(zip(off.indices[lo:hi].tolist(),
-                               off.data[lo:hi].tolist()))
-                steps.append((k, i, row, float(model.h[i])))
-
-        def run_sweep():
-            u = rng.random(n)
-            uv = memoryview(u)
-            for k, sites, rows, hs in steps:
-                if type(sites) is int:
-                    field = 0.0
-                    for j, a in rows:
-                        field += a * sv[j]
-                    p_plus = 0.5 * (1.0 + math.tanh(beta * field + hs))
-                    sv[sites] = 1.0 if uv[k] < p_plus else -1.0
-                else:
-                    p_plus = 0.5 * (1.0 + np.tanh(beta * (rows @ spins) + hs))
-                    spins[sites] = np.where(u[k:k + len(sites)] < p_plus,
-                                            1.0, -1.0)
-
-    return _run_chain(run_sweep, spins, count, burn_in, thin, np.int8)
+        spins = _check_spins(initial, n)
+    return _run_chain(_sweeper(model, spins, rng), spins, count, burn_in,
+                      thin, np.int8)
 
 
 def sweep_distribution(model, probs):

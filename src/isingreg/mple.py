@@ -191,7 +191,7 @@ def fit(problem, beta_frozen=None, max_iters=DEFAULT_MAX_ITERS,
     """Minimize the negative log-PL over (theta, beta) jointly, starting
     from the parameters ``problem.model`` holds with beta = 0.
 
-    ``beta_frozen`` pins beta to the given value (MPLE-0 uses 0);
+    ``beta_frozen`` pins beta to the given finite value (MPLE-0 uses 0);
     otherwise beta stays in [-B, B] at every iterate, and theta stays
     inside its constraint balls.  A warm start is a model that already
     holds parameters, such as an earlier fit's ``FitResult.model``.  A
@@ -223,6 +223,8 @@ def _stacked(problem, objective, beta_frozen):
     projected-gradient and step entries are exactly zero.
     """
     model = problem.model
+    if beta_frozen is not None and not np.isfinite(beta_frozen):
+        raise ValueError(f"a frozen beta must be finite, got {beta_frozen}")
     lo, hi = ((-problem.beta_box, problem.beta_box) if beta_frozen is None
               else (beta_frozen, beta_frozen))
 

@@ -154,7 +154,7 @@ def gibbs_sample_potts(A, X, model, beta, count, burn_in=50, thin=5, seed=0):
     fields = np.atleast_2d(model.eval(np.asarray(X, dtype=float)))
     if fields.shape != (n, K):
         raise ValueError("model output shape must be (n, K)")
-    _, classes = _colour_classes(A)
+    classes = _colour_classes(A)
     onehot = one_hot(y, K)
 
     def run_sweep():

@@ -349,6 +349,31 @@ class TestExitCodes:
                         "--benchmark-seeds", "0", *data]) == 2
         assert "config error: seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--beta", "nan"], ["--matrix", "curie-weiss", "--beta", "inf"]],
+        ids=["nan", "inf"])
+    def test_non_finite_beta_is_config_error(self, tmp_path, capsys, argv):
+        assert run_cli(["--out-dir", tmp_path, "sample", "--n", "8",
+                        "--count", "3", *argv]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
+    def test_nan_frozen_beta_is_config_error(self, tmp_path, capsys):
+        assert run_cli(["--out-dir", tmp_path, "fit",
+                        "--nodes", FIXTURES / "toy_nodes.csv",
+                        "--edges", FIXTURES / "toy_edges.txt",
+                        "--beta-frozen", "nan"]) == 2
+        assert "frozen beta must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+    @pytest.mark.parametrize("classes", ["0", "1", "-2"])
+    def test_fewer_than_two_classes_is_config_error(self, tmp_path, capsys,
+                                                    classes):
+        assert run_cli(["--out-dir", tmp_path, "benchmark", "--n", "30",
+                        "--benchmark-seeds", "1", "--classes", classes]) == 2
+        assert f"got {classes}" in capsys.readouterr().err
+        assert not (tmp_path / "benchmark.csv").exists()
+
     def test_negative_burn_in_is_config_error(self, tmp_path, capsys):
         assert run_cli(["--out-dir", tmp_path, "sample", "--n", "4",
                         "--count", "1", "--burn-in", "-3"]) == 2

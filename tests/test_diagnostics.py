@@ -417,6 +417,21 @@ class TestExchangeablePairs:
         with pytest.raises(ValueError):
             exchangeable_pairs_test(m, np.zeros(6), 100)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(samples=0), "samples"), (dict(burn_in=-1), "burn_in"),
+        (dict(thin=0), "thin")])
+    def test_argument_checks(self, kwargs, match):
+        m = random_model(np.random.default_rng(5), 6)
+        with pytest.raises(ValueError, match=match):
+            exchangeable_pairs_test(m, np.ones(6), **{"samples": 10, **kwargs})
+
+    def test_thin_reaches_no_sweep(self):
+        # each state ends its own chain, so the spacing of states is moot
+        m = random_model(np.random.default_rng(7), 6)
+        a, b = (exchangeable_pairs_test(m, np.ones(6), 50, seed=2, thin=t)
+                for t in (1, 9))
+        assert (a.mean, a.std_error) == (b.mean, b.std_error)
+
     def test_independent_case_beta_zero(self):
         n = 10
         A = InteractionMatrix.curie_weiss(n)

@@ -207,6 +207,11 @@ class TestBenchmark:
         X[informative, prototypes[informative] % K] += 2.0
         assert ds.X.tobytes() == X.tobytes()
 
+    @pytest.mark.parametrize("K", [1, 0, -2])
+    def test_planted_dataset_needs_two_classes(self, K):
+        with pytest.raises(ValueError, match=f"K >= 2 classes, got {K}$"):
+            planted_potts_dataset(n=30, K=K)
+
     def test_benchmark_schema_and_determinism(self):
         ds = planted_potts_dataset(n=80, K=3, seed=2)
         t1 = accuracy_benchmark(ds, seeds=[0, 1])

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 from isingreg import (InteractionMatrix, IsingModel, conditional_mean,
                       exact_summary, gibbs_sample)
 from isingreg.errors import EnumerationCapError
-from isingreg.ising import (_VECTOR_CLASS_MIN, _colour_classes, parse_spins,
-                           scan_order, serialize_spins, sweep_distribution)
+from isingreg.ising import (_run_chain, _sweeper, parse_spins, scan_order,
+                           serialize_spins, sweep_distribution)
 
 from helpers import (REFERENCE_MATRICES, enumeration_conditional,
                      random_model, random_spins, reference_gibbs_sample)
@@ -19,6 +19,14 @@ from helpers import (REFERENCE_MATRICES, enumeration_conditional,
 def two_spin_model(beta, h=(0.0, 0.0)):
     A = InteractionMatrix.from_adjacency([(0, 1)], 2)
     return IsingModel(A, np.array(h, dtype=float), beta)
+
+
+@pytest.mark.parametrize("beta,h", [(np.nan, 0.0), (np.inf, 0.0),
+                                    (-np.inf, 0.0), (0.3, np.nan),
+                                    (0.3, -np.inf)])
+def test_model_refuses_non_finite_beta_or_field(beta, h):
+    with pytest.raises(ValueError, match="must be finite"):
+        two_spin_model(beta, (0.0, h))
 
 
 class TestConditionalMean:
@@ -157,9 +165,37 @@ class TestGibbs:
             gibbs_sample(model, 1, burn_in=-3)
 
 
-def _class_work(A):
-    """Sites plus off-diagonal entries of each colour class of ``A``."""
-    return [len(sites) + rows.nnz for _, sites, rows in _colour_classes(A)[1]]
+class TestBatchedChains:
+    """The sweep kernels on (n, m) spins run m independent chains."""
+
+    # beta > 0 on a block matrix runs the auxiliary-Gaussian kernel,
+    # beta < 0 the scalar one; dense_complete runs the colour-class kernel
+    @pytest.mark.parametrize("kind", ["dense_complete", "block_r4"])
+    @pytest.mark.parametrize("beta", [0.8, -0.8])
+    def test_chain_ends_are_independent_model_draws(self, kind, beta):
+        rng = np.random.default_rng(33)
+        A = REFERENCE_MATRICES[kind](rng)
+        model = IsingModel(A, rng.uniform(-0.5, 0.5, size=A.n), beta)
+        m = 4000
+        spins = rng.integers(0, 2, size=(A.n, m)) * 2.0 - 1.0
+        ends = _run_chain(_sweeper(model, spins, rng), spins, 1, 20, 1,
+                          float)[0]
+        # blocks do not interact, so each is enumerated on its own
+        labels = (np.zeros(A.n, dtype=int) if A._block_labels is None
+                  else A._block_labels)
+        dense = A.dense()
+        want = np.empty(A.n)
+        for b in np.unique(labels):
+            sites = np.flatnonzero(labels == b)
+            sub = IsingModel(InteractionMatrix.from_dense(
+                dense[np.ix_(sites, sites)]), model.h[sites], beta)
+            want[sites] = exact_summary(sub).marginal_means
+        se = np.sqrt(1.0 - want ** 2) / np.sqrt(m)
+        assert np.all(np.abs(ends.mean(axis=1) - want) <= 4.5 * se)
+        # and independent: two chains' spins at one site multiply to the
+        # squared marginal on average
+        cross = (ends[:, ::2] * ends[:, 1::2]).mean(axis=1)
+        assert np.all(np.abs(cross - want ** 2) <= 4.5 * np.sqrt(2.0 / m))
 
 
 class TestGibbsMatchesReference:
@@ -205,15 +241,6 @@ def test_diagonal_never_enters_a_conditional(kind):
                                          0.8), 3, burn_in=5, thin=2, seed=8)
                  for a in (heavy, m))
     assert got.tobytes() == want.tobytes()
-
-
-def test_reference_cases_cover_both_class_updates():
-    """Some CSR classes are one numpy step and some go site by site."""
-    rng = np.random.default_rng(31)
-    work = [w for kind in ("adjacency", "weighted_edges",
-                           "dense_hub_diagonal", "dense_complete")
-            for w in _class_work(REFERENCE_MATRICES[kind](rng))]
-    assert min(work) < _VECTOR_CLASS_MIN <= max(work)
 
 
 def _random_weighted_graph(data):

@@ -346,6 +346,15 @@ class TestNewton:
         np.testing.assert_array_equal(res.theta_hat["theta"], np.zeros(3))
         assert res.stop_reason == "tol"
 
+    @pytest.mark.parametrize("model", [
+        FunctionClassModel.linear(3, l2_radius=2.0),
+        FunctionClassModel.mlp2(3, width=4)], ids=["newton", "pgd"])
+    @pytest.mark.parametrize("frozen", [np.nan, np.inf])
+    def test_non_finite_frozen_beta_rejected(self, model, frozen):
+        prob = replace(linear_problem(np.random.default_rng(51)), model=model)
+        with pytest.raises(ValueError, match="frozen beta must be finite"):
+            fit(prob, beta_frozen=frozen)
+
     @pytest.mark.parametrize("kwargs", [
         {"beta_frozen": 0.0}, {"beta_frozen": 0.4},
         {"theta": np.full(3, 0.5)}])

@@ -408,6 +408,12 @@ class TestFitAndPredict:
                              np.array([0, 1]))
         np.testing.assert_array_equal(pred, [0, 0])
 
+    @pytest.mark.parametrize("frozen", [np.nan, -np.inf])
+    def test_non_finite_frozen_beta_rejected(self, frozen):
+        prob = small_problem(np.random.default_rng(17))
+        with pytest.raises(ValueError, match="frozen beta must be finite"):
+            fit_potts(prob, beta_frozen=frozen)
+
     def test_label_validation(self):
         rng = np.random.default_rng(16)
         A = random_graph_matrix(rng, 4)
