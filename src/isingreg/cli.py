@@ -22,7 +22,7 @@ from .errors import DataFormatError, NumericalFailure
 from .interaction import (InteractionMatrix, from_weighted_edges,
                           read_edge_list)
 from .ising import IsingModel, gibbs_sample, serialize_spins
-from .models import FunctionClassModel
+from .models import FunctionClassModel, dense_design
 from .mple import PLProblem, fit
 from .potts import PottsProblem, fit_potts
 
@@ -61,6 +61,10 @@ def _matrix_from_args(args, n):
 
 
 def cmd_sample(args):
+    # uniform(-s, s) draws from a range of width 2s, which must be finite
+    if not (args.field_scale >= 0 and np.isfinite(2 * args.field_scale)):
+        raise ValueError("--field-scale must be nonnegative and finite when "
+                         f"doubled, got {args.field_scale}")
     out = _out_dir(args)
     A = _matrix_from_args(args, args.n)
     rng = np.random.default_rng(args.seed)
@@ -117,7 +121,8 @@ def cmd_diagnose(args):
     h0 = np.zeros(ds.n)
     est = diagnostics.c1_prime_estimate(("linear", ds.X, 1.0), h0, 0.0, ds.A)
     # probe field from the first feature column, bounded to [-1, 1]
-    probe = np.tanh(ds.X[:, 0] - ds.X[:, 0].mean())
+    first = dense_design(ds.X[:, [0]])[:, 0]
+    probe = np.tanh(first - first.mean())
     psi_check = diagnostics.psi(probe, 0.2, h0, 0.0, ds.A)
     report = {
         "norms": {"frobenius": frob, "spectral": spec, "infinity": inf},

@@ -6,18 +6,22 @@ grammar of their cells are set out under "Data formats" in README.md.
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import interaction
 from .errors import DuplicateIdError, MalformedRowError, SplitError
 from .interaction import (InteractionMatrix, from_weighted_edges,
                           read_edge_list, write_edge_list)
 from .ising import IsingModel, gibbs_sample
+from .models import dense_design
 
 # the bound M on |h*| of a synthetic instance
 FIELD_BOUND = 5.0
@@ -29,25 +33,54 @@ SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 # few times this size, so it bounds their share of the reader's peak memory
 SCAN_CHUNK = 1 << 18
 # the bytes of a nodes file body in the scanned spelling
-_SPELLING = b"0123456789.-,\n"
-# a mantissa of at most 18 digits fits int64; one at most 2**53 is an exact
-# double, and so is 10**k for k <= 18, so m / 10**k is correctly rounded
+_SPELLING = b"0123456789.-,\ne+"
+# the scanned spelling of a feature that float() reads: repr writes a
+# float below 1e-4 or from 1e16 up with an exponent
+_FLOAT = re.compile(rb"-?\d+(\.\d+)?(e[-+]?\d+)?")
+# a mantissa of at most 18 digits fits int64.  Up to _LEADING_ZEROS zeros
+# before a cell's first nonzero digit do not count towards them: repr
+# writes a float as 0.000ddd... before it turns to an exponent.
 _MAX_DIGITS = 18
+_LEADING_ZEROS = 4
+_MAX_CHARS = _MAX_DIGITS + _LEADING_ZEROS + 2  # a minus and a point more
+# a mantissa of at most 2**53 is an exact double, and so is 10**k for
+# k <= 22, so m / 10**k is correctly rounded
 _EXACT_MANTISSA = 2 ** 53
-_POW10 = np.array([float(10 ** k) for k in range(_MAX_DIGITS + 1)])
+_POW10 = np.array([float(10 ** k) for k in range(_MAX_CHARS - 1)])
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+class SparseFeatures(sparse.csr_array):
+    """A CSR feature matrix that reports ``nbytes``, the bytes of its
+    ``data``, ``indices`` and ``indptr``, as a dense array does.
+
+    Row indexing and ``copy`` keep the class.  ``T`` is built once and
+    kept: a transpose shares the three arrays, but scipy checks them again
+    on every call, which is most of the cost of a small product like
+    ``X.T @ upstream``.  The matrix must not be changed in place.
+    """
+
+    @property
+    def nbytes(self):
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    @functools.cached_property
+    def T(self):
+        return self.transpose()
 
 
 @dataclass(eq=False)
 class Dataset:
     """Features, labels, dependency structure, splits, optional truth.
 
-    ``edges``, when present, is the (m, 3) float array of (i, j, weight)
-    rows A was built from, as ``read_edge_list`` returns it and
-    ``write_edge_list`` writes it.
+    ``X`` is n x d: a :class:`SparseFeatures` CSR matrix when read from a
+    nodes file, a dense array when drawn (``gen_synthetic``,
+    ``harness.planted_potts_dataset``).  ``edges``, when present, is the
+    (m, 3) float array of (i, j, weight) rows A was built from, as
+    ``read_edge_list`` returns it and ``write_edge_list`` writes it.
     """
 
-    X: np.ndarray
+    X: np.ndarray | SparseFeatures
     labels: np.ndarray
     A: InteractionMatrix
     splits: dict = field(default_factory=dict)
@@ -170,19 +203,20 @@ def validate_splits(splits, n):
 def _decimals(buf, starts):
     """(mantissa, decimals, negative) of the cell that starts at each of
     ``starts`` and runs to the next comma or newline, when every one is
-    spelled ``-?\\d+(\\.\\d+)?`` with at most 18 digits; None otherwise.
-    ``buf`` holds only digits, points, minus signs, commas and newlines and
-    ends in a newline."""
+    spelled ``-?\\d+(\\.\\d+)?`` with at most 18 digits, not counting
+    up to four zeros before its first nonzero digit; None otherwise.
+    Those cells hold only digits, points and minus signs, each is followed
+    by a comma or a newline, and ``buf`` ends in a newline."""
     count = len(starts)
     mantissa = np.zeros(count, dtype=np.int64)
-    lengths, digits, points, at = (np.zeros(count, dtype=np.int64)
-                                   for _ in range(4))
+    lengths, digits, leading, points, at = (np.zeros(count, dtype=np.int64)
+                                            for _ in range(5))
     inside = np.ones(count, dtype=bool)
     # one pass per character position, over the cells still that long
-    for j in range(_MAX_DIGITS + 3):
+    for j in range(_MAX_CHARS + 1):
         chars = buf.take(starts + j, mode="clip")
         inside &= chars > ord(",")  # the delimiters sort below the rest
-        if j > _MAX_DIGITS + 1 or not inside.any():
+        if j == _MAX_CHARS or not inside.any():
             break
         value = chars - np.uint8(ord("0"))  # a point or minus wraps above 9
         digit = inside & (value < 10)
@@ -192,16 +226,28 @@ def _decimals(buf, starts):
         np.add(at, j, out=at, where=point)
         lengths += inside
         digits += digit
+        leading += digit & (mantissa == 0)
         points += point
     negative = buf[starts] == ord("-")
+    cap = _MAX_DIGITS + np.where(leading <= _LEADING_ZEROS, leading, 0)
     # what is neither digit nor point is a minus, and only the first byte
     # may be one; a point needs a digit on either side
     if inside.any() or ((lengths - digits - points != negative) | (points > 1)
-                        | (digits == 0) | (digits > _MAX_DIGITS)
+                        | (digits == 0) | (digits > cap)
                         | ((points == 1)
                            & ((at <= negative) | (at >= lengths - 1)))).any():
         return None
     return mantissa, np.where(points == 1, lengths - 1 - at, 0), negative
+
+
+def _floats(raw, firsts, ends):
+    """``float`` of each ``raw[first:end]``; NaN where a text is not in the
+    scanned spelling or reads as no finite number."""
+    texts = [raw[i:j] for i, j in zip(firsts.tolist(), ends.tolist())]
+    values = np.array([float(t) if _FLOAT.fullmatch(t) else np.nan
+                       for t in texts], dtype=float)
+    values[~np.isfinite(values)] = np.nan
+    return values
 
 
 class _Ranks:
@@ -221,16 +267,21 @@ class _Ranks:
 
 def _scan_nodes(raw):
     """(header cells, ids, labels, X, None) of the nodes file bytes ``raw``
-    when every cell is in the common spelling; None otherwise.
+    when every cell is in the common spelling, X a CSR
+    :class:`SparseFeatures`; None otherwise.
 
     The spelling is an ASCII header, then rows of exactly d + 2 cells,
     each row ending in ``\\n``, with no blank line; ids and labels are
     ``-?\\d+`` and features ``-?\\d+(\\.\\d+)?``, each of at most 18
-    digits, and a feature's digits read as an integer m <= 2**53.  The
-    file is read in row chunks of about :data:`SCAN_CHUNK` bytes: numpy
+    digits besides up to four leading zeros, or a finite
+    ``-?\\d+(\\.\\d+)?e[-+]?\\d+``: every float as ``repr`` writes it.
+    The file is read in row chunks of about :data:`SCAN_CHUNK` bytes: numpy
     comparisons find every delimiter, a cell that is exactly ``0`` is
-    skipped, and each other feature is m / 10**k, the correctly rounded
-    value that ``np.loadtxt`` reads too.
+    skipped, and each other feature whose digits read as an integer
+    m <= 2**53 is m / 10**k; the rest go through ``float``.  Both are
+    correctly rounded, as ``np.loadtxt`` is.
+    Each chunk keeps its nonzero features' values, columns and count per
+    row, and X is assembled from them once, so no n x d array is made.
     """
     end = raw.find(b"\n")
     if end < 0 or not raw.endswith(b"\n") or b"\r" in raw[:end]:
@@ -246,9 +297,8 @@ def _scan_nodes(raw):
             None, _SPELLING) != raw[:end].translate(None, _SPELLING):
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
-    X = np.zeros((n, width - 2))
-    flat = X.reshape(-1)
     heads = np.zeros((n, 2), dtype=np.int64)
+    data, indices, counts = [], [], []
     pos, row = end + 1, 0
     while pos < len(raw):
         stop = raw.rfind(b"\n", pos, pos + SCAN_CHUNK) + 1
@@ -275,24 +325,45 @@ def _scan_nodes(raw):
         zero = (chunk == ord("0")) & opens
         zero[:-1] &= delim[1:]
         starts = np.flatnonzero(opens & ~zero)
-        if starts.size:
-            cells = ranks(starts)
-            parsed = _decimals(chunk, starts)
-            if parsed is None:
+        cells = ranks(starts)
+        r, c = np.divmod(cells, width)
+        # a cell with an 'e' or a '+' must be in repr's exponent spelling
+        marks = np.flatnonzero((chunk == ord("e")) | (chunk == ord("+")))
+        spelled = np.isin(cells, ranks(marks))
+        plain = ~spelled
+        parsed = _decimals(chunk, starts[plain])
+        if parsed is None or (c[spelled] < 2).any():
+            return None
+        mantissa, k, negative = parsed
+        head = c[plain] < 2
+        if k[head].any():
+            return None
+        ints = np.where(negative[head], -mantissa[head], mantissa[head])
+        heads[row + r[plain][head], c[plain][head]] = ints
+        values = np.empty(len(starts))
+        quotients = mantissa / _POW10[k]
+        np.negative(quotients, out=quotients, where=negative)
+        values[plain] = quotients
+        # float() reads what m / 10**k cannot: an exponent or m > 2**53
+        slow = spelled.copy()
+        slow[plain] = mantissa > _EXACT_MANTISSA
+        if slow.any():
+            ends = np.flatnonzero(delim)[cells[slow]]
+            values[slow] = _floats(raw, pos + starts[slow], pos + ends)
+            if np.isnan(values[slow]).any():
                 return None
-            mantissa, k, negative = parsed
-            r, c = np.divmod(cells, width)
-            head = c < 2
-            feat = ~head
-            if k[head].any() or (mantissa[feat] > _EXACT_MANTISSA).any():
-                return None
-            ints = np.where(negative[head], -mantissa[head], mantissa[head])
-            heads[row + r[head], c[head]] = ints
-            values = mantissa[feat] / _POW10[k[feat]]
-            np.negative(values, out=values, where=negative[feat])
-            # cell r * width + c of the chunk is X[row + r, c - 2]
-            flat[row * (width - 2) + cells[feat] - 2 * r[feat] - 2] = values
+        # a feature that reads as zero ("-0", "0.00") is not stored
+        feat = (c >= 2) & (values != 0)
+        data.append(values[feat])
+        # cells come in file order, so each row's columns ascend
+        indices.append((c[feat] - 2).astype(np.int32))
+        counts.append(np.bincount(r[feat], minlength=rows))
         pos, row = stop, row + rows
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    index = np.int32 if indptr[-1] < 2 ** 31 else np.int64
+    X = SparseFeatures((np.concatenate(data), np.concatenate(indices),
+                        indptr.astype(index)), shape=(n, width - 2))
     return cols, heads[:, 0], heads[:, 1], X, None
 
 
@@ -319,8 +390,10 @@ def _load_node_rows(path):
 def load_citation(nodes_path, edges_path, splits_path=None):
     """Read the canonical nodes/edges/splits files into a Dataset.
 
-    A nodes file in the common spelling (plain decimals, ``\\n`` line ends,
-    see ``_scan_nodes``) is read by a byte scan; any other goes to
+    X is a CSR :class:`SparseFeatures` with float64 data, sorted column
+    indices and no stored zeros (so ``-0`` reads as 0).  A nodes file in
+    the common spelling (plain decimals, ``\\n`` line ends, see
+    ``_scan_nodes``) is read by a byte scan; any other goes to
     ``load_rows``, which gives the same X and labels bit for bit and is the
     one parser that names the line of a malformed row.  The edge file is
     read by ``read_edge_list`` and the interaction matrix built by
@@ -341,22 +414,22 @@ def load_citation(nodes_path, edges_path, splits_path=None):
     if not np.array_equal(uniq, np.arange(n)):
         raise MalformedRowError("node ids must be exactly 0..n-1")
     order = np.argsort(ids)
-    # fancy indexing makes C-contiguous copies, so a loadtxt table behind X
-    # is freed; a scanned X already in id order is kept as it is
-    if not (X.flags.c_contiguous and np.array_equal(ids, uniq)):
+    if not np.array_equal(ids, uniq):
         X = X[order]
     y = y[order]
     del ids
-    # a scanned X holds quotients m / 10**k only, so the row parser, which
-    # gives the line numbers, is the one that can read inf or nan.  min and
-    # max propagate NaN and reach any infinity, and unlike isfinite(X) they
+    # a scanned X holds finite numbers only, so the row parser, which gives
+    # the line numbers, is the one that can read inf or nan.  min and max
+    # propagate NaN and reach any infinity, and unlike isfinite(X) they
     # allocate no n x d temporary.
-    if numbers is not None and not np.isfinite(
-            [X.min(initial=0.0), X.max(initial=0.0)]).all():
-        node, col = np.argwhere(~np.isfinite(X))[0]
-        raise MalformedRowError(
-            f"{nodes_path.name}:{numbers[order[node]]}: node {node} feature "
-            f"{cols[2 + col]} is {X[node, col]}, not a finite number")
+    if numbers is not None:
+        if not np.isfinite([X.min(initial=0.0), X.max(initial=0.0)]).all():
+            node, col = np.argwhere(~np.isfinite(X))[0]
+            raise MalformedRowError(
+                f"{nodes_path.name}:{numbers[order[node]]}: node {node} "
+                f"feature {cols[2 + col]} is {X[node, col]}, not a finite "
+                "number")
+        X = SparseFeatures(X)
 
     with Path(edges_path).open() as fh:
         edges = read_edge_list(fh)
@@ -373,11 +446,12 @@ def load_citation(nodes_path, edges_path, splits_path=None):
 
 def save_citation(dataset, nodes_path, edges_path, splits_path=None):
     """Write a Dataset back to the canonical formats (load/save roundtrips
-    byte-identically)."""
-    n, d = dataset.X.shape
+    byte-identically).  A sparse X is written dense, zeros as ``0.0``."""
+    X = dense_design(dataset.X)
+    n, d = X.shape
     lines = ["id,label," + ",".join(f"f{k + 1}" for k in range(d))]
     for i in range(n):
-        feats = ",".join(repr(float(v)) for v in dataset.X[i])
+        feats = ",".join(repr(float(v)) for v in X[i])
         lines.append(f"{i},{int(dataset.labels[i])},{feats}")
     Path(nodes_path).write_text("\n".join(lines) + "\n")
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .ising import _run_chain, _sweeper, exact_summary
+from .models import dense_design
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +178,10 @@ def _theta_search(X, h_star, beta_star, A, seed):
 def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0, seed=0):
     """Supremum of the squared-error-to-psi ratios over a linear family.
 
-    ``family`` is ``("linear", X, radius)``: X a finite n x d design,
-    parameters in the L2 ball of the given radius.  The ratios are constant
-    along rays out of (h*, beta*); with beta step 1 and field step X phi,
+    ``family`` is ``("linear", X, radius)``: X a finite n x d design (a
+    scipy sparse X is densified once here), parameters in the L2 ball of
+    the given radius.  The ratios are constant along rays out of
+    (h*, beta*); with beta step 1 and field step X phi,
     psi = ||A||_F^2 + G(phi), G(phi) = ||X phi + A tanh(h* - beta* X phi)||^2,
     so c1' = max(1/n, sup ||X phi||^2 / (n psi)) and c2' = 1 / min psi.  At
     beta* = 0 or A = 0, G is a quadratic and both are exact
@@ -192,7 +195,8 @@ def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0, seed=0):
     if family[0] != "linear":
         raise ValueError(f"unknown family kind {family[0]!r}")
     h_star = np.asarray(h_star, dtype=float)
-    X = np.asarray(family[1], dtype=float)
+    X = family[1]
+    X = X.toarray() if sparse.issparse(X) else np.asarray(X, dtype=float)
     radius = float(family[2])
     if X.ndim != 2 or X.shape[0] != A.n or h_star.shape != (A.n,):
         raise ValueError(f"X must be {A.n} x d and h* of length {A.n}, got "
@@ -332,8 +336,9 @@ def exchangeable_pairs_test(model, v, samples, seed=0, burn_in=100, thin=5):
 def kappa_and_restricted_eig(X):
     """kappa, the minimum eigenvalue of X^T X / n, by a dense symmetric
     eigensolve.  When d > n, rank(X) <= n < d and kappa is 0 without a
-    solve.  A design with no columns raises ``ValueError``."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    solve.  A scipy sparse X is densified once.  A design with no columns
+    raises ``ValueError``."""
+    X = dense_design(X)
     n, d = X.shape
     if d == 0:
         raise ValueError("the design has no feature columns")

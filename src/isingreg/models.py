@@ -7,7 +7,9 @@ Three kinds are supported:
 * ``mlp2``           a 2-layer ReLU network W2 relu(W1 x).
 
 A model may have K outputs (one field per class, for the Potts model);
-K = 1 models evaluate to a plain length-n vector.
+K = 1 models evaluate to a plain length-n vector.  The design X may be a
+dense array or a scipy sparse matrix (file-backed bag-of-words X is CSR);
+both go through ``@`` as they are.
 """
 
 from __future__ import annotations
@@ -15,6 +17,19 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scipy import sparse
+
+
+def as_design(X):
+    """X as a 2-D float array; a scipy sparse X is returned as it is."""
+    if sparse.issparse(X):
+        return X
+    return np.atleast_2d(np.asarray(X, dtype=float))
+
+
+def dense_design(X):
+    """X as a dense 2-D float array, converting a scipy sparse X."""
+    return X.toarray() if sparse.issparse(X) else as_design(X)
 
 
 def project_l2(v, radius):
@@ -112,7 +127,8 @@ class FunctionClassModel:
 
     def eval(self, X):
         """Field values, shape (n,) when K = 1 and (n, K) otherwise."""
-        X = np.asarray(X, dtype=float)
+        if not sparse.issparse(X):
+            X = np.asarray(X, dtype=float)
         if self.kind in ("linear", "sparse_linear"):
             return X @ self.params["theta"]
         hidden = relu(X @ self.params["W1"].T)
@@ -125,7 +141,8 @@ class FunctionClassModel:
         ``upstream`` has the same shape as ``eval(X)``; the result is a
         dict shaped like ``params``.  ReLU uses subgradient 0 at 0.
         """
-        X = np.asarray(X, dtype=float)
+        if not sparse.issparse(X):
+            X = np.asarray(X, dtype=float)
         upstream = np.asarray(upstream, dtype=float)
         if self.kind in ("linear", "sparse_linear"):
             return {"theta": X.T @ upstream}

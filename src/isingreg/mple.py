@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .interaction import InteractionMatrix
-from .models import FunctionClassModel
+from .models import FunctionClassModel, as_design, dense_design
 
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-8
@@ -50,7 +50,10 @@ def log2cosh(m):
 
 @dataclass(frozen=True, eq=False)
 class PLProblem:
-    """One pseudo-likelihood instance: structure, features, observation."""
+    """One pseudo-likelihood instance: structure, features, observation.
+
+    X is a dense array or a scipy sparse matrix, kept as given.
+    """
 
     A: InteractionMatrix
     X: np.ndarray
@@ -59,7 +62,7 @@ class PLProblem:
     beta_box: float = 1.0
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
+        X = as_design(self.X)
         sigma = np.asarray(self.sigma, dtype=float)
         if X.shape[0] != self.A.n or sigma.shape != (self.A.n,):
             raise ValueError("A, X, sigma sizes disagree")
@@ -266,8 +269,9 @@ def _fit_pgd(problem, objective, beta_frozen, max_iters, tol):
 def _fit_newton(problem, beta_frozen, max_iters, tol):
     """Projected Newton (Lee, Sun & Saunders 2014) for a linear field.
 
-    The objective is a GLM in z = (theta, beta) with design Z = [X, A sigma]
-    and Hessian H = Z^T diag(1 - tanh^2 m) Z.  Each iteration evaluates
+    The objective is a GLM in z = (theta, beta) with dense design
+    Z = [X, A sigma] (a sparse X is densified, as d + 1 is small here) and
+    Hessian H = Z^T diag(1 - tanh^2 m) Z.  Each iteration evaluates
     :func:`neg_log_pl` once, minimizes the quadratic model exactly over the
     feasible set (:func:`_newton_point`) and line-searches along the step
     with strict descent plus Armijo.  Once the model's decrease is below
@@ -280,7 +284,7 @@ def _fit_newton(problem, beta_frozen, max_iters, tol):
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     z, (lo, hi), project, value_grad = _stacked(problem, neg_log_pl,
                                                 beta_frozen)
-    Z = np.column_stack([problem.X, problem.local])
+    Z = np.column_stack([dense_design(problem.X), problem.local])
     radius = problem.model.l2_radius
     radius = np.inf if radius is None else radius
     value, grad = value_grad(z)
@@ -375,7 +379,8 @@ def predict_binary(A, X, model, beta, known_idx, known_values, targets):
     beta-weighted sum over *known-labeled* neighbors.
 
     Unknown neighbors contribute zero; an exact zero net field breaks the
-    tie to +1.  ``targets`` must be disjoint from ``known_idx``.
+    tie to +1.  ``targets`` must be disjoint from ``known_idx``.  The
+    field model is evaluated on the rows of X at ``targets`` only.
     """
     known_idx = np.asarray(known_idx, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
@@ -384,5 +389,5 @@ def predict_binary(A, X, model, beta, known_idx, known_values, targets):
     filled = np.zeros(A.n)
     filled[known_idx] = np.asarray(known_values, dtype=float)
     neighbor = A.matvec(filled)[targets]
-    z = model.eval(np.asarray(X, dtype=float))[targets] + beta * neighbor
+    z = model.eval(as_design(X)[targets]) + beta * neighbor
     return np.where(z >= 0.0, 1, -1).astype(np.int64)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .interaction import InteractionMatrix
 from .ising import _colour_classes, _run_chain
-from .models import FunctionClassModel
+from .models import FunctionClassModel, as_design
 from .mple import DEFAULT_MAX_ITERS, DEFAULT_TOL, _fit_pgd
 
 
@@ -59,10 +59,11 @@ class PottsProblem:
     ``known`` are the indices whose labels feed neighbor counts.  Both
     default to all nodes (the fully observed synthetic setting).
 
-    The rows of X, counts and labels at ``sites`` are copied once here,
-    so an objective evaluation costs one pass of the field model over
-    ``len(sites)`` rows, whatever n is; a problem over every node holds
-    a second copy of X.
+    X is a dense array or a scipy sparse matrix, kept as given.  The rows
+    of X, counts and labels at ``sites`` are copied once here (CSR rows
+    when X is CSR), so an objective evaluation costs one pass of the field
+    model over ``len(sites)`` rows, whatever n is; a problem over every
+    node holds a second copy of X.
     """
 
     K: int
@@ -75,7 +76,7 @@ class PottsProblem:
     known: np.ndarray = None
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
+        X = as_design(self.X)
         y = np.asarray(self.y, dtype=np.int64)
         n = self.A.n
         if X.shape[0] != n or y.shape != (n,):
@@ -151,7 +152,7 @@ def gibbs_sample_potts(A, X, model, beta, count, burn_in=50, thin=5, seed=0):
     n = A.n
     rng = np.random.default_rng(seed)
     y = rng.integers(0, K, size=n)
-    fields = np.atleast_2d(model.eval(np.asarray(X, dtype=float)))
+    fields = np.atleast_2d(model.eval(X))
     if fields.shape != (n, K):
         raise ValueError("model output shape must be (n, K)")
     classes = _colour_classes(A)
@@ -186,7 +187,8 @@ def predict_class(A, X, model, beta, known_idx, known_labels, targets):
     """Argmax of the conditional restricted to known-labeled neighbors.
 
     Unknown neighbors contribute zero; argmax ties break to the lowest
-    class index.
+    class index.  The field model is evaluated on the rows of X at
+    ``targets`` only.
     """
     known_idx = np.asarray(known_idx, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
@@ -195,6 +197,6 @@ def predict_class(A, X, model, beta, known_idx, known_labels, targets):
     counts = _known_neighbor_counts(
         A, known_idx, np.asarray(known_labels, dtype=np.int64),
         model.n_outputs)
-    z = np.atleast_2d(model.eval(np.asarray(X, dtype=float)))[targets]
+    z = np.atleast_2d(model.eval(as_design(X)[targets]))
     z = z + beta * counts[targets]
     return np.argmax(z, axis=1)

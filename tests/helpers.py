@@ -4,6 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from isingreg import InteractionMatrix, IsingModel
+from isingreg.data import SparseFeatures
 from isingreg.ising import _check_spins, scan_order
 from isingreg.potts import log_softmax_rows, one_hot, softmax_rows
 
@@ -237,3 +238,19 @@ def reference_potts_objective_grad(problem, theta_flat, beta):
     grad_theta = model.flatten_grad(model.param_grad(problem.X, upstream))
     grad_beta = float(np.sum(upstream[sites] * problem.counts[sites]))
     return value, grad_theta, grad_beta
+
+
+def canonical_csr(X):
+    """X.toarray() of a feature matrix read from a nodes file, after
+    checking that X is canonical CSR that reports its bytes: float64 data,
+    strictly ascending columns in each row and no stored zeros."""
+    assert isinstance(X, SparseFeatures)
+    assert X.data.dtype == np.float64 and X.has_canonical_format
+    assert X.indptr.dtype == X.indices.dtype
+    assert X.indptr[0] == 0 and X.indptr[-1] == X.nnz
+    assert (np.diff(X.indptr) >= 0).all() and (X.data != 0).all()
+    for i in range(X.shape[0]):
+        cols = X.indices[X.indptr[i]:X.indptr[i + 1]]
+        assert (np.diff(cols) > 0).all() and (cols < X.shape[1]).all()
+    assert X.nbytes == X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+    return X.toarray()

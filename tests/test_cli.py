@@ -12,6 +12,7 @@ import isingreg
 from isingreg import cli
 from isingreg.cli import _parse_with_config, build_parser, main
 from isingreg.data import make_splits
+from isingreg.ising import serialize_spins
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -379,6 +380,29 @@ class TestExitCodes:
                         "--count", "1", "--burn-in", "-3"]) == 2
         assert "burn_in" in capsys.readouterr().err
         assert not (tmp_path / "samples.csv").exists()
+
+    # refused before the draw: uniform(-s, s) overflows when 2s is infinite
+    @pytest.mark.parametrize("scale", ["inf", "nan", "1e308", "-0.5",
+                                       "-inf"])
+    def test_bad_field_scale_is_config_error(self, tmp_path, capsys, scale):
+        assert run_cli(["--out-dir", tmp_path, "sample", "--n", "8",
+                        "--count", "1", f"--field-scale={scale}"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --field-scale" in err and "Traceback" not in err
+        assert not (tmp_path / "samples.csv").exists()
+
+    @pytest.mark.parametrize("scale", ["0", "0.5", "8e307"])
+    def test_finite_field_scale_draws_as_before(self, tmp_path, scale):
+        assert run_cli(["--seed", "4", "--out-dir", tmp_path, "sample",
+                        "--n", "8", "--count", "2", "--field-scale",
+                        scale]) == 0
+        rng = np.random.default_rng(4)
+        h = rng.uniform(-float(scale), float(scale), size=8)
+        model = isingreg.IsingModel(isingreg.InteractionMatrix.curie_weiss(8),
+                                    h, 0.3)
+        want = serialize_spins(
+            isingreg.gibbs_sample(model, 2, burn_in=50, thin=5, seed=4))
+        assert (tmp_path / "samples.csv").read_text() == want
 
     def test_diagnose_without_feature_columns_is_config_error(self, tmp_path,
                                                                capsys):

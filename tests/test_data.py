@@ -16,6 +16,8 @@ from isingreg.data import Dataset, _scan_nodes, validate_splits
 from isingreg.errors import (DanglingEdgeError, DuplicateIdError,
                              MalformedRowError, SplitError)
 
+from helpers import canonical_csr
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -178,7 +180,10 @@ class TestCitationFormat:
         cells = {int(r.split(",")[0]): [float(v) for v in r.split(",")[2:]]
                  for r in rows}
         want = np.array([cells[i] for i in range(n)])
-        assert loaded.X.tobytes() == want.tobytes() == X.tobytes()
+        # CSR stores no zeros, so -0.0 reads back as 0.0 (adding 0.0 maps
+        # -0.0 to 0.0 and leaves every other value as it is)
+        assert canonical_csr(loaded.X).tobytes() == (want + 0.0).tobytes() \
+            == (X + 0.0).tobytes()
         np.testing.assert_array_equal(loaded.labels, ds.labels)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
@@ -191,7 +196,7 @@ class TestCitationFormat:
 
     def test_whitespace_only_lines_are_skipped(self, tmp_path):
         ds = _load_nodes(tmp_path, "id,label,f1\n1,1,2.0\n  \t \n\n0,0,1.0\n")
-        assert ds.X.tolist() == [[1.0], [2.0]]
+        assert canonical_csr(ds.X).tolist() == [[1.0], [2.0]]
         assert ds.labels.tolist() == [0, 1]
 
     @pytest.mark.parametrize("row, reason", [
@@ -235,9 +240,8 @@ class TestCitationFormat:
         # exponent in either case
         ds = _load_nodes(tmp_path, "id,label,f1,f2\n 1 , +0 , 1. , -.5e1 \n"
                                    "00,-1,1E2,0\n")
-        assert ds.X.tolist() == [[100.0, 0.0], [1.0, -5.0]]
+        assert canonical_csr(ds.X).tolist() == [[100.0, 0.0], [1.0, -5.0]]
         assert ds.labels.tolist() == [-1, 0] and ds.labels.dtype == np.int64
-        assert ds.X.flags.c_contiguous
 
     def test_header_only_reads_no_rows(self, tmp_path, recwarn):
         with pytest.raises(DanglingEdgeError):
@@ -286,12 +290,17 @@ class TestCitationFormat:
         assert list(ds.summary()) == ["classes", "nodes", "edges", "features"]
 
 
-# the spelling the byte scan reads: -?\d+(\.\d+)? of at most 18 digits,
-# which read as an integer of at most 2**53
+# the spelling the byte scan reads: -?\d+(\.\d+)? of at most 18 digits
+# besides up to four zeros before the first nonzero digit, or a finite
+# -?\d+(\.\d+)?e[-+]?\d+, as repr writes floats below 1e-4 and from 1e16
 def _scanned(cell):
+    if re.fullmatch(r"-?\d+(\.\d+)?e[-+]?\d+", cell):
+        return np.isfinite(float(cell))
+    if re.fullmatch(r"-?\d+(\.\d+)?", cell) is None:
+        return False
     digits = cell.lstrip("-").replace(".", "")
-    return (re.fullmatch(r"-?\d+(\.\d+)?", cell) is not None
-            and len(digits) <= 18 and int(digits) <= 2 ** 53)
+    leading = len(digits) - len(digits.lstrip("0"))
+    return len(digits) <= 18 + (leading if leading <= 4 else 0)
 
 
 def _with_point(digits, at, sign):
@@ -308,10 +317,13 @@ _SCANNABLE_CELLS = st.one_of(
     _BOUNDARY,
     # 16 and 17 significant digits
     st.from_regex(r"-?(0\.[0-9]{16,17}|[1-9][0-9]{15,16}(\.[0-9])?)",
-                  fullmatch=True))
+                  fullmatch=True),
+    # repr's spelling of a float, often with a mantissa above 2**53, more
+    # than 18 digits or an exponent, and leading zeros around the cap
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"-?0\.0{0,5}[1-9][0-9]{14,18}", fullmatch=True))
 _FEATURE_CELLS = st.one_of(
     _SCANNABLE_CELLS,
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["+1", "1e3", "1E-2", " 1", "2 ", "\t2.5", ".5", "5.",
                      "0.1234567890123456789"]))
 
@@ -347,8 +359,8 @@ class TestScannedNodes:
         d = data.draw(st.integers(0, 4))
         ids = data.draw(st.permutations(range(n)))
         rows = []
-        # a plain file has no spelling the scan refuses but for mantissas
-        # above 2**53, so that one such cell decides where the file goes
+        # a plain file has no spelling the scan refuses but for too many
+        # digits, so that one such cell decides where the file goes
         plain = data.draw(st.booleans())
         for i in ids:
             head = [data.draw(st.sampled_from([str(i), f"00{i}", f"+{i}"])),
@@ -378,8 +390,9 @@ class TestScannedNodes:
             assert (_scan_nodes(nodes.read_bytes()) is not None) == scanned
             X, labels, A = _reference_parse(nodes, edges)
             ds = load_citation(nodes, edges)
-        assert ds.X.shape == X.shape and ds.X.tobytes() == X.tobytes()
-        assert ds.X.flags.c_contiguous
+        # CSR stores no zeros, so -0.0 reads as 0.0
+        assert ds.X.shape == X.shape
+        assert canonical_csr(ds.X).tobytes() == (X + 0.0).tobytes()
         assert ds.labels.dtype == labels.dtype == np.int64
         np.testing.assert_array_equal(ds.labels, labels)
         assert ds.A.dense().tobytes() == A.dense().tobytes()
@@ -403,8 +416,16 @@ class TestScannedNodes:
         "id,label,f1\n0,0.0,1\n",
         "id,label,f1\n0,0,inf\n",
         "id,label,f1\n0,0,0.00000000000000000001\n",
-        "id,label,f1\n0,0,9007199254740993\n",  # 2**53 + 1
-        "id,label,f1\n0,0,-9007199254.740993\n",
+        "id,label,f1\n0,0,1234567890123456789\n",
+        "id,label,f1\n0,0,-0.00001234567890123456\n",
+        "id,label,f1\n0,0,0.0001234567890123456789\n",
+        "id,label,f1\n0,0,1e\n",
+        "id,label,f1\n0,0,e5\n",
+        "id,label,f1\n0,0,1e+\n",
+        "id,label,f1\n0,0,1+5\n",
+        "id,label,f1\n0,0,1e5e5\n",
+        "id,label,f1\n0,0,1e400\n",
+        "id,label,f1\n1e0,0,1\n",
         "id,label,f1\n0,0,1\n1,0,1,0\n",
         "id,lab\rel,f1\n0,0,1\n",
         "nodes,label,f1\n0,0,1\n",
@@ -413,14 +434,23 @@ class TestScannedNodes:
         assert _scan_nodes(text.encode()) is None
 
     def test_scanned_spellings(self):
+        # mantissas above 2**53 (2**53 + 1 among them), up to four leading
+        # zeros past the 18-digit cap and exponents are read by float()
         cells = ["-0", "007", "0.0000", "-12.5", "9007199254740992",
-                 "9.007199254740992", "0.9007199254740992"]
+                 "9.007199254740992", "0.9007199254740992",
+                 "9007199254740993", "-9007199254.740993",
+                 "-0.12345678901234567", "0.00012345678901234567",
+                 "-0.0012345678901234567", "123456789012345678",
+                 "0000123456789012345678", "1e-05", "-1.5099831293121058e-05",
+                 "1e+16", "2.5e300", "1e-400"]
         text = "id,label," + ",".join(f"f{k}" for k in range(len(cells)))
         ids, labels, X = _scan_nodes(
             f"{text}\n0,-3,{','.join(cells)}\n".encode())[1:4]
         assert ids.tolist() == [0] and labels.tolist() == [-3]
-        assert X.tobytes() == np.array([[float(c) for c in cells]]).tobytes()
-        assert np.signbit(X[0, 0])
+        want = np.array([[float(c) for c in cells]])
+        # "-0", "0.0000" and "1e-400" are zeros, which CSR does not store
+        assert canonical_csr(X).tobytes() == (want + 0.0).tobytes()
+        assert X.nnz == len(cells) - 3
 
     def test_fixtures_take_the_fast_path(self, tmp_path):
         # a Cora-like file of 0/1 cells and a Pubmed-like file of sparse
@@ -436,6 +466,13 @@ class TestScannedNodes:
         (tmp_path / "edges.txt").write_text(
             "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
         paths = [(FIXTURES / "toy_nodes.csv", FIXTURES / "toy_edges.txt")]
+        # repr-spelled Gaussian features, as save_citation writes them
+        synthetic = gen_synthetic(InteractionMatrix.block_partition(n, 4),
+                                  d, seed=3)
+        synthetic.edges = [(i, i + 1, 1.0) for i in range(n - 1)]
+        save_citation(synthetic, tmp_path / "synthetic.csv",
+                      tmp_path / "synthetic.txt")
+        paths.append((tmp_path / "synthetic.csv", tmp_path / "synthetic.txt"))
         for name, cells in (("binary.csv", binary), ("decimal.csv", decimal)):
             (tmp_path / name).write_text(header + "".join(
                 f"{i},{i % 3},{row}\n" for i, row in enumerate(cells)))
@@ -446,6 +483,6 @@ class TestScannedNodes:
                                    _refuse_load_rows), \
                     mock.patch("isingreg.data.SCAN_CHUNK", chunk):
                 ds = load_citation(nodes, edges)
-            assert ds.X.tobytes() == X.tobytes()
+            assert canonical_csr(ds.X).tobytes() == (X + 0.0).tobytes()
             np.testing.assert_array_equal(ds.labels, labels)
             assert ds.A.dense().tobytes() == A.dense().tobytes()
