@@ -29,8 +29,7 @@ def main():
     print("\n== complexity ratio on the lower-bound instance ==")
     n, r = 12, 3
     A = InteractionMatrix.block_partition(n, r)
-    est = c1_prime_estimate(("linear", np.ones((n, 1)), 4.0), np.ones(n),
-                            0.5, A)
+    est = c1_prime_estimate(np.ones((n, 1)), 4.0, np.ones(n), 0.5, A)
     print(f"  c1' estimate = {est.c1_prime:.4f} "
           f"(known-slope value a^2/r = {0.8952 ** 2 / r:.4f}; "
           f"always <= 4/||A||_F^2 = {4 / r:.4f})")

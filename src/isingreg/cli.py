@@ -87,8 +87,8 @@ def cmd_fit(args):
         maker = lambda n_out: FunctionClassModel.linear(
             d, n_outputs=n_out, l2_radius=args.l2)
     elif args.model == "sparse":
-        maker = lambda n_out: FunctionClassModel.sparse_linear(
-            d, l1_radius=args.l1, n_outputs=n_out, l2_radius=args.l2)
+        maker = lambda n_out: FunctionClassModel.linear(
+            d, n_outputs=n_out, l2_radius=args.l2, l1_radius=args.l1)
     elif args.model == "mlp":
         maker = lambda n_out: FunctionClassModel.mlp2(
             d, n_outputs=n_out, width=args.width, seed=args.seed)
@@ -101,7 +101,7 @@ def cmd_fit(args):
         fitter = fit
     else:
         k = int(ds.labels.max()) + 1
-        problem = PottsProblem(k, ds.A, ds.X, ds.labels, maker(k),
+        problem = PottsProblem(ds.A, ds.X, ds.labels, maker(k),
                                beta_box=args.beta_box)
         fitter = fit_potts
     res = fitter(problem, beta_frozen=args.beta_frozen, tol=args.tol,
@@ -119,7 +119,7 @@ def cmd_diagnose(args):
     frob, spec, inf = ds.A.norms()
     kappa = diagnostics.kappa_and_restricted_eig(ds.X)
     h0 = np.zeros(ds.n)
-    est = diagnostics.c1_prime_estimate(("linear", ds.X, 1.0), h0, 0.0, ds.A)
+    est = diagnostics.c1_prime_estimate(ds.X, 1.0, h0, 0.0, ds.A)
     # probe field from the first feature column, bounded to [-1, 1]
     first = dense_design(ds.X[:, [0]])[:, 0]
     probe = np.tanh(first - first.mean())

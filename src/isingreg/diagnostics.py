@@ -175,12 +175,12 @@ def _theta_search(X, h_star, beta_star, A, seed):
             {"evals": evals + 1, "starts": len(runs)})
 
 
-def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0, seed=0):
-    """Supremum of the squared-error-to-psi ratios over a linear family.
+def c1_prime_estimate(X, radius, h_star, beta_star, A, beta_box=1.0, seed=0):
+    """Supremum of the squared-error-to-psi ratios over the linear family
+    on X with parameters in the L2 ball of the given radius.
 
-    ``family`` is ``("linear", X, radius)``: X a finite n x d design (a
-    scipy sparse X is densified once here), parameters in the L2 ball of
-    the given radius.  The ratios are constant along rays out of
+    X is a finite n x d design (a scipy sparse X is densified once here).
+    The ratios are constant along rays out of
     (h*, beta*); with beta step 1 and field step X phi,
     psi = ||A||_F^2 + G(phi), G(phi) = ||X phi + A tanh(h* - beta* X phi)||^2,
     so c1' = max(1/n, sup ||X phi||^2 / (n psi)) and c2' = 1 / min psi.  At
@@ -189,15 +189,12 @@ def c1_prime_estimate(family, h_star, beta_star, A, beta_box=1.0, seed=0):
     LOWER bounds.  ``c1`` is min(c1', t_max^2 / n) along the witness ray,
     t_max the largest feasible step in field scale.  ``degenerate`` flags
     an X with no nonzero column; ``search_telemetry`` counts psi
-    evaluations and L-BFGS starts.  Another family kind, or X and h* of the
-    wrong shape or not finite, raise ``ValueError`` before any work.
+    evaluations and L-BFGS starts.  X and h* of the wrong shape or not
+    finite raise ``ValueError`` before any work.
     """
-    if family[0] != "linear":
-        raise ValueError(f"unknown family kind {family[0]!r}")
     h_star = np.asarray(h_star, dtype=float)
-    X = family[1]
     X = X.toarray() if sparse.issparse(X) else np.asarray(X, dtype=float)
-    radius = float(family[2])
+    radius = float(radius)
     if X.ndim != 2 or X.shape[0] != A.n or h_star.shape != (A.n,):
         raise ValueError(f"X must be {A.n} x d and h* of length {A.n}, got "
                          f"shapes {X.shape} and {h_star.shape}")
@@ -281,7 +278,7 @@ class TailReport:
     samples: int
 
 
-def exchangeable_pairs_test(model, v, samples, seed=0, burn_in=100, thin=5):
+def exchangeable_pairs_test(model, v, samples, seed=0, burn_in=100):
     """Monte-Carlo check of the mean-field-residual tail bound.
 
     Runs ``samples`` independent Gibbs chains from uniform starts, takes
@@ -297,8 +294,6 @@ def exchangeable_pairs_test(model, v, samples, seed=0, burn_in=100, thin=5):
 
     The functional has exact mean zero under the model; the report also
     carries the empirical mean and its standard error std / sqrt(samples).
-    ``thin`` is checked as in :func:`isingreg.ising.gibbs_sample`, but no
-    sweep reads it: each chain gives one state.
     """
     v = np.asarray(v, dtype=float)
     norm_v = np.linalg.norm(v)
@@ -308,7 +303,8 @@ def exchangeable_pairs_test(model, v, samples, seed=0, burn_in=100, thin=5):
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     spins = rng.integers(0, 2, size=(model.n, samples)) * 2.0 - 1.0
-    states = _run_chain(_sweeper(model, spins, rng), spins, 1, burn_in, thin,
+    # one state per chain, so no thinning
+    states = _run_chain(_sweeper(model, spins, rng), spins, 1, burn_in, 1,
                         float)[0].T
     local = model.A.local_field_many(states)
     resid = states - np.tanh(model.beta * local + model.h)

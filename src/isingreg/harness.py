@@ -195,8 +195,8 @@ def rate_experiment(kind, grid, trials, seed=0, **overrides):
             beta_star = ds.ground_truth["beta"]
             d = ds.X.shape[1]
             if kind == "sparse_sweep":
-                model = FunctionClassModel.sparse_linear(
-                    d, l1_radius=float(x), l2_radius=2.0)
+                model = FunctionClassModel.linear(
+                    d, l2_radius=2.0, l1_radius=float(x))
             else:
                 model = FunctionClassModel.linear(d, l2_radius=2.0)
             problem = PLProblem(ds.A, ds.X, ds.labels, model, beta_box=1.0)
@@ -414,7 +414,7 @@ def accuracy_benchmark(dataset, seeds, model_kind="mlp2", width=32,
         else:
             model = FunctionClassModel.linear(dataset.X.shape[1], n_outputs=K,
                                               l2_radius=None)
-        problem = PottsProblem(K, dataset.A, dataset.X, dataset.labels, model,
+        problem = PottsProblem(dataset.A, dataset.X, dataset.labels, model,
                                beta_box=1.0, sites=train, known=train)
         config = {"kind": "benchmark", "dataset": dataset_name,
                   "model": model_kind, "width": width, "x": float(ti)}

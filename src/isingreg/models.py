@@ -1,20 +1,19 @@
 """Function classes mapping features to external fields.
 
-Three kinds are supported:
+Two kinds are supported:
 
-* ``linear``         f(x) = theta^T x, with an L2-ball constraint,
-* ``sparse_linear``  linear plus an L1-ball constraint, and
-* ``mlp2``           a 2-layer ReLU network W2 relu(W1 x).
+* ``linear``  f(x) = theta^T x, with an L2-ball constraint and, when an
+  L1 radius is given, an L1-ball constraint too (sparse linear), and
+* ``mlp2``    a 2-layer ReLU network W2 relu(W1 x).
 
-A model may have K outputs (one field per class, for the Potts model);
-K = 1 models evaluate to a plain length-n vector.  The design X may be a
-dense array or a scipy sparse matrix (file-backed bag-of-words X is CSR);
-both go through ``@`` as they are.
+A model may have K outputs (one field per class, for the Potts model),
+read from its parameters' shapes; K = 1 models evaluate to a plain
+length-n vector.  The design X may be a dense array or a scipy sparse
+matrix (file-backed bag-of-words X is CSR); both go through ``@`` as
+they are.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 from scipy import sparse
@@ -77,11 +76,11 @@ def relu(z):
 class FunctionClassModel:
     """Parameterized field map with flat-vector access for optimizers."""
 
-    def __init__(self, kind, params, l2_radius=None, l1_radius=None, n_outputs=1):
-        if kind not in ("linear", "sparse_linear", "mlp2"):
+    def __init__(self, kind, params, l2_radius=None, l1_radius=None):
+        if kind not in ("linear", "mlp2"):
             raise ValueError(f"unknown model kind {kind!r}")
         if kind == "mlp2" and l1_radius is not None:
-            raise ValueError("L1 constraint is only supported for linear kinds")
+            raise ValueError("L1 constraint is only supported for linear models")
         for name, radius in (("l2_radius", l2_radius),
                              ("l1_radius", l1_radius)):
             if radius is not None and not radius >= 0:
@@ -90,25 +89,28 @@ class FunctionClassModel:
         self.params = {k: np.asarray(v, dtype=float) for k, v in params.items()}
         self.l2_radius = l2_radius
         self.l1_radius = l1_radius
-        self.n_outputs = int(n_outputs)
+
+    @property
+    def n_outputs(self):
+        """K: theta's second dimension (1 when theta is 1-D), or the rows
+        of W2."""
+        if self.kind == "linear":
+            theta = self.params["theta"]
+            return 1 if theta.ndim == 1 else theta.shape[1]
+        return self.params["W2"].shape[0]
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def linear(d, n_outputs=1, theta=None, l2_radius=1.0):
+    def linear(d, n_outputs=1, theta=None, l2_radius=1.0, l1_radius=None):
+        """theta in the L2 ball, and in the L1 ball too when ``l1_radius``
+        is given."""
         shape = (d,) if n_outputs == 1 else (d, n_outputs)
         theta = np.zeros(shape) if theta is None else np.asarray(theta, dtype=float)
         if theta.shape != shape:
             raise ValueError(f"theta must have shape {shape}")
         return FunctionClassModel("linear", {"theta": theta},
-                                  l2_radius=l2_radius, n_outputs=n_outputs)
-
-    @staticmethod
-    def sparse_linear(d, l1_radius, n_outputs=1, theta=None, l2_radius=1.0):
-        m = FunctionClassModel.linear(d, n_outputs, theta, l2_radius)
-        return FunctionClassModel("sparse_linear", m.params,
-                                  l2_radius=l2_radius, l1_radius=l1_radius,
-                                  n_outputs=n_outputs)
+                                  l2_radius=l2_radius, l1_radius=l1_radius)
 
     @staticmethod
     def mlp2(d, n_outputs=1, width=32, seed=0, l2_radius=None):
@@ -120,8 +122,7 @@ class FunctionClassModel:
             "W1": rng.uniform(-s1, s1, size=(width, d)),
             "W2": rng.uniform(-s2, s2, size=(n_outputs, width)),
         }
-        return FunctionClassModel("mlp2", params, l2_radius=l2_radius,
-                                  n_outputs=n_outputs)
+        return FunctionClassModel("mlp2", params, l2_radius=l2_radius)
 
     # -- evaluation and gradients ----------------------------------------
 
@@ -129,7 +130,7 @@ class FunctionClassModel:
         """Field values, shape (n,) when K = 1 and (n, K) otherwise."""
         if not sparse.issparse(X):
             X = np.asarray(X, dtype=float)
-        if self.kind in ("linear", "sparse_linear"):
+        if self.kind == "linear":
             return X @ self.params["theta"]
         hidden = relu(X @ self.params["W1"].T)
         out = hidden @ self.params["W2"].T
@@ -144,7 +145,7 @@ class FunctionClassModel:
         if not sparse.issparse(X):
             X = np.asarray(X, dtype=float)
         upstream = np.asarray(upstream, dtype=float)
-        if self.kind in ("linear", "sparse_linear"):
+        if self.kind == "linear":
             return {"theta": X.T @ upstream}
         up = upstream[:, None] if upstream.ndim == 1 else upstream
         z = X @ self.params["W1"].T
@@ -157,7 +158,7 @@ class FunctionClassModel:
     # -- flat-vector plumbing ---------------------------------------------
 
     def _keys(self):
-        return ("theta",) if self.kind in ("linear", "sparse_linear") else ("W1", "W2")
+        return ("theta",) if self.kind == "linear" else ("W1", "W2")
 
     def flatten(self):
         return np.concatenate([self.params[k].ravel() for k in self._keys()])
@@ -176,30 +177,7 @@ class FunctionClassModel:
         if at != vec.size:
             raise ValueError("flat vector size mismatch")
         return FunctionClassModel(self.kind, params, self.l2_radius,
-                                  self.l1_radius, self.n_outputs)
+                                  self.l1_radius)
 
     def project_flat(self, vec):
         return project_params(vec, self.l2_radius, self.l1_radius)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self):
-        doc = {
-            "kind": self.kind,
-            "n_outputs": self.n_outputs,
-            "l2_radius": self.l2_radius,
-            "l1_radius": self.l1_radius,
-            "shapes": {k: list(self.params[k].shape) for k in self._keys()},
-            "values": {k: self.params[k].ravel().tolist() for k in self._keys()},
-        }
-        return json.dumps(doc)
-
-    @staticmethod
-    def from_json(text):
-        doc = json.loads(text)
-        params = {
-            k: np.array(doc["values"][k], dtype=float).reshape(doc["shapes"][k])
-            for k in doc["shapes"]
-        }
-        return FunctionClassModel(doc["kind"], params, doc["l2_radius"],
-                                  doc["l1_radius"], doc["n_outputs"])

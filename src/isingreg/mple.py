@@ -8,12 +8,12 @@ spin vector sigma is
 
 with the off-diagonal local field.  For linear f_theta this is jointly
 convex in (theta, beta).  Every iterate keeps theta inside its
-constraint balls and beta inside [-B, B].  One-output linear models with
-d + 1 <= ``NEWTON_MAX_DIM`` are minimized by projected Newton, whose
-subproblem is solved exactly over the theta ball times the beta
-interval; every other model (``sparse_linear``, ``mlp2``, larger d, and
-the Potts fits) by projected gradient descent with a backtracking
-(Armijo) line search.  Freezing beta at 0 recovers ordinary logistic
+constraint balls and beta inside [-B, B].  Linear models with no L1
+radius and d + 1 <= ``NEWTON_MAX_DIM`` are minimized by projected Newton,
+whose subproblem is solved exactly over the theta L2 ball times the beta
+interval; every other model (an L1 radius, ``mlp2``, larger d, and the
+Potts fits) by projected gradient descent with a backtracking (Armijo)
+line search.  Freezing beta at 0 recovers ordinary logistic
 regression (MPLE-0).
 """
 
@@ -52,7 +52,9 @@ def log2cosh(m):
 class PLProblem:
     """One pseudo-likelihood instance: structure, features, observation.
 
-    X is a dense array or a scipy sparse matrix, kept as given.
+    X is a dense array or a scipy sparse matrix, kept as given.  The
+    model must have one output; a K-output model belongs in a
+    :class:`isingreg.potts.PottsProblem`.
     """
 
     A: InteractionMatrix
@@ -68,6 +70,9 @@ class PLProblem:
             raise ValueError("A, X, sigma sizes disagree")
         if not np.all(np.abs(sigma) == 1):
             raise ValueError("observed labels must be +/-1 spins")
+        if self.model.n_outputs != 1:
+            raise ValueError("a binary problem needs a one-output model, got "
+                             f"{self.model.n_outputs} outputs")
         if not self.beta_box >= 0:
             raise ValueError(
                 f"beta_box must be nonnegative, got {self.beta_box}")
@@ -83,7 +88,7 @@ class PLProblem:
 
 @dataclass
 class FitResult:
-    """Estimated parameters plus optimizer telemetry.
+    """The fitted model plus optimizer telemetry.
 
     ``stop_reason`` says why the solver stopped: ``"tol"`` (the
     projected-gradient norm reached the tolerance), ``"max_iters"`` or
@@ -95,13 +100,17 @@ class FitResult:
     projected-gradient norm.  Only ``"tol"`` counts as converged.
     """
 
-    theta_hat: dict
     beta_hat: float
     objective_value: float
     iterations: int
     final_projected_grad_norm: float
     stop_reason: str
     model: FunctionClassModel = field(repr=False)
+
+    @property
+    def theta_hat(self):
+        """The fitted model's parameters."""
+        return self.model.params
 
     @property
     def converged(self):
@@ -198,7 +207,7 @@ def fit(problem, beta_frozen=None, max_iters=DEFAULT_MAX_ITERS,
     otherwise beta stays in [-B, B] at every iterate, and theta stays
     inside its constraint balls.  A warm start is a model that already
     holds parameters, such as an earlier fit's ``FitResult.model``.  A
-    one-output ``linear`` model with d + 1 <= ``NEWTON_MAX_DIM`` is
+    ``linear`` model with no L1 radius and d + 1 <= ``NEWTON_MAX_DIM`` is
     fitted by projected Newton (:func:`_fit_newton`); every other model
     by projected gradient descent (:func:`projected_gradient_descent`).
     Both stop at ``"tol"`` when the unit-step projected-gradient norm is
@@ -206,7 +215,7 @@ def fit(problem, beta_frozen=None, max_iters=DEFAULT_MAX_ITERS,
     the result is then a global minimizer up to that tolerance.
     """
     model = problem.model
-    if model.kind == "linear" and model.n_outputs == 1 and \
+    if model.kind == "linear" and model.l1_radius is None and \
             model.params["theta"].size + 1 <= NEWTON_MAX_DIM:
         return _fit_newton(problem, beta_frozen, max_iters, tol)
     return _fit_pgd(problem, neg_log_pl, beta_frozen, max_iters, tol)
@@ -219,7 +228,7 @@ def _stacked(problem, objective, beta_frozen):
     grad_theta_flat, grad_beta)``.
 
     The start is the model's own parameters with beta = 0, projected: the
-    linear kinds build all-zero weights unless given others, and ``mlp2``
+    linear models build all-zero weights unless given others, and ``mlp2``
     builds Glorot weights, because all-zero weights are a stationary
     point there.  Beta's interval is [-B, B], or [b, b] when beta is
     frozen at b; the projection clips beta to it, so a frozen beta's
@@ -246,15 +255,13 @@ def _stacked(problem, objective, beta_frozen):
 
 
 def _result(model, z, value, iters, pg_norm, stop_reason):
-    fitted = model.with_flat(z[:-1])
     return FitResult(
-        theta_hat={k: v.copy() for k, v in fitted.params.items()},
         beta_hat=float(z[-1]),
         objective_value=value,
         iterations=iters,
         final_projected_grad_norm=pg_norm,
         stop_reason=stop_reason,
-        model=fitted,
+        model=model.with_flat(z[:-1]),
     )
 
 
@@ -267,7 +274,8 @@ def _fit_pgd(problem, objective, beta_frozen, max_iters, tol):
 
 
 def _fit_newton(problem, beta_frozen, max_iters, tol):
-    """Projected Newton (Lee, Sun & Saunders 2014) for a linear field.
+    """Projected Newton (Lee, Sun & Saunders 2014) for a linear field
+    constrained to an L2 ball only.
 
     The objective is a GLM in z = (theta, beta) with dense design
     Z = [X, A sigma] (a sparse X is densified, as d + 1 is small here) and

@@ -53,7 +53,8 @@ def _known_neighbor_counts(A, known, known_labels, K):
 
 @dataclass(frozen=True, eq=False)
 class PottsProblem:
-    """Labeled Potts instance.
+    """Labeled Potts instance.  K, the number of classes, is the model's
+    ``n_outputs``.
 
     ``sites`` are the indices whose conditionals enter the objective;
     ``known`` are the indices whose labels feed neighbor counts.  Both
@@ -66,7 +67,6 @@ class PottsProblem:
     node holds a second copy of X.
     """
 
-    K: int
     A: InteractionMatrix
     X: np.ndarray
     y: np.ndarray
@@ -82,9 +82,8 @@ class PottsProblem:
         if X.shape[0] != n or y.shape != (n,):
             raise ValueError("A, X, y sizes disagree")
         if y.min(initial=0) < 0 or y.max(initial=0) >= self.K:
-            raise ValueError("labels must lie in 0..K-1")
-        if self.model.n_outputs != self.K:
-            raise ValueError("model must emit K outputs")
+            raise ValueError(f"labels must lie in 0..K-1 for the model's "
+                             f"K = {self.K} outputs")
         if not self.beta_box >= 0:
             raise ValueError(
                 f"beta_box must be nonnegative, got {self.beta_box}")
@@ -103,6 +102,10 @@ class PottsProblem:
         object.__setattr__(self, "_site_y", y[sites])
         object.__setattr__(self, "_site_one_hot",
                            one_hot(self._site_y, self.K))
+
+    @property
+    def K(self):
+        return self.model.n_outputs
 
     @property
     def counts(self):

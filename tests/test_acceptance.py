@@ -110,7 +110,7 @@ def test_03_gradient_suite():
         K = 3
         y = rng.integers(0, K, size=n)
         pm = ir.FunctionClassModel.linear(d, n_outputs=K, l2_radius=None)
-        pprob = PottsProblem(K, A, X, y, pm, beta_box=1.0)
+        pprob = PottsProblem(A, X, y, pm, beta_box=1.0)
 
         def f_potts(z):
             v, gt, gb = potts_objective_grad(pprob, z[:-1], z[-1])
@@ -249,7 +249,7 @@ def test_09_complexity_bound_and_psi_scaling():
         X = rng.standard_normal((n, d))
         theta_star = rng.standard_normal(d)
         theta_star *= 0.5 / np.linalg.norm(theta_star)
-        est = ir.c1_prime_estimate(("linear", X, 1.0), X @ theta_star,
+        est = ir.c1_prime_estimate(X, 1.0, X @ theta_star,
                                    float(rng.uniform(-0.8, 0.8)), A,
                                    beta_box=1.0, seed=k)
         bound = (1.0 + 1e-6) / (4.0 * A.frobenius ** 2)
@@ -278,8 +278,7 @@ def test_10_concentration():
     for k in range(5):
         model = random_model(rng, 12)
         v = rng.standard_normal(12)
-        rep = exchangeable_pairs_test(model, v, 10_000, seed=k, burn_in=100,
-                                      thin=5)
+        rep = exchangeable_pairs_test(model, v, 10_000, seed=k, burn_in=100)
         assert rep.all_below_bound
         assert abs(rep.mean) <= 3.0 * rep.std_error
         worst_ratio = max(worst_ratio, float(np.max(
@@ -307,7 +306,7 @@ def test_11_potts_k2_equivalence():
         for code in range(2 ** n):
             y = ((code >> np.arange(n)) & 1).astype(np.int64)
             sigma = (2 * y - 1).astype(float)
-            prob = PottsProblem(2, A, X, y, model, beta_box=2.0)
+            prob = PottsProblem(A, X, y, model, beta_box=2.0)
             for i in range(n):
                 p1 = potts_conditional(prob, model.flatten(),
                                        2 * beta_ising, i)[1]

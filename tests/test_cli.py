@@ -97,7 +97,7 @@ class TestDispatch:
                                     FIXTURES / "toy_edges.txt")
         init = isingreg.FunctionClassModel.mlp2(4, n_outputs=3, width=8,
                                                 seed=4)
-        problem = isingreg.PottsProblem(3, ds.A, ds.X, ds.labels, init)
+        problem = isingreg.PottsProblem(ds.A, ds.X, ds.labels, init)
         at_init, _, _ = isingreg.potts_objective_grad(
             problem, init.flatten(), 0.0)
         assert doc["objective_value"] < at_init

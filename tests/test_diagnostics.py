@@ -85,7 +85,7 @@ class TestComplexityEstimate:
         # the search path and on the closed form alike
         A = InteractionMatrix.curie_weiss(4)
         for beta_star in (0.2, 0.0):
-            est = c1_prime_estimate(("linear", np.zeros((4, 2)), 1.0),
+            est = c1_prime_estimate(np.zeros((4, 2)), 1.0,
                                     np.ones(4), beta_star, A)
             assert est.degenerate and est.c1_prime == 0.0
             assert est.search_telemetry["evals"] == 0
@@ -94,14 +94,9 @@ class TestComplexityEstimate:
         # with A = 0, psi = ||h - h*||^2 for every beta*: c2' is unbounded
         A = InteractionMatrix.from_dense(np.zeros((5, 5)))
         X = np.random.default_rng(0).normal(size=(5, 2))
-        est = c1_prime_estimate(("linear", X, 1.0), np.full(5, 0.3), 0.3, A)
+        est = c1_prime_estimate(X, 1.0, np.full(5, 0.3), 0.3, A)
         assert est.c1_prime == 1.0 / 5 and est.c2_prime == np.inf
         assert est.search_telemetry["evals"] == 0
-
-    def test_unknown_family_kind(self):
-        A = InteractionMatrix.curie_weiss(4)
-        with pytest.raises(ValueError, match="vectors"):
-            c1_prime_estimate(("vectors", [np.ones(4)]), np.zeros(4), 0.2, A)
 
     def test_lower_bound_instance_witness(self):
         # at the lower-bound construction's slope the ratio equals a^2/r;
@@ -109,7 +104,7 @@ class TestComplexityEstimate:
         n, r = 12, 3
         A = InteractionMatrix.block_partition(n, r)
         x = np.ones((n, 1))
-        est = c1_prime_estimate(("linear", x, 4.0), np.ones(n), 0.5, A,
+        est = c1_prime_estimate(x, 4.0, np.ones(n), 0.5, A,
                                 beta_box=1.0)
         a = A_FIX
         # the ray's unit point: h = h* + 1/sqrt(n), beta = beta* - 1/(a sqrt(n))
@@ -124,7 +119,7 @@ class TestComplexityEstimate:
         n, r = 12, 3
         A = InteractionMatrix.block_partition(n, r)
         ones = np.ones(n)
-        est = c1_prime_estimate(("linear", np.ones((n, 1)), 4.0), ones, 0.5, A)
+        est = c1_prime_estimate(np.ones((n, 1)), 4.0, ones, 0.5, A)
         thetas, betas = np.linspace(-3, 5, 801), np.linspace(-8, 8, 801)
         dense, db = A.dense(), betas - 0.5
 
@@ -160,7 +155,7 @@ class TestComplexityEstimate:
         n, r = 12, 3
         A = InteractionMatrix.block_partition(n, r)
         ones = np.ones(n)
-        est = c1_prime_estimate(("linear", np.ones((n, 1)), 4.0), ones, 0.0, A)
+        est = c1_prime_estimate(np.ones((n, 1)), 4.0, ones, 0.0, A)
         assert est.search_telemetry["evals"] == 0
         assert est.argmax_witness["lambda_slope"] < 0.0
         best, best2 = 0.0, 0.0
@@ -182,7 +177,7 @@ class TestComplexityEstimate:
         A = random_symmetric_matrix(rng, n, zero_diag=False)
         X = rng.standard_normal((n, 3))
         h_star = X @ rng.standard_normal(3)
-        est = c1_prime_estimate(("linear", X, 1.0), h_star, 0.0, A)
+        est = c1_prime_estimate(X, 1.0, h_star, 0.0, A)
         wit = est.argmax_witness
         at_witness = 1.0 / (n * psi(wit["h"], wit["beta"], h_star, 0.0,
                                     A).value)
@@ -206,7 +201,7 @@ class TestComplexityEstimate:
         X = rng.standard_normal((n, d))
         theta = rng.standard_normal(d)
         theta *= 0.5 / np.linalg.norm(theta)
-        est = c1_prime_estimate(("linear", X, 1.0), X @ theta,
+        est = c1_prime_estimate(X, 1.0, X @ theta,
                                 float(rng.uniform(-0.8, 0.8)), A, seed=seed)
         assert est.c1_prime <= (1.0 + 1e-6) / (4.0 * A.frobenius ** 2)
         # c2' is capped by 1/||A||_F^2 unconditionally
@@ -222,7 +217,7 @@ class TestComplexityEstimate:
         n = int(rng.integers(20, 40))
         A = random_symmetric_matrix(rng, n)
         X = rng.standard_normal((n, 3))
-        est = c1_prime_estimate(("linear", X, 1.0), np.zeros(n), 0.0, A,
+        est = c1_prime_estimate(X, 1.0, np.zeros(n), 0.0, A,
                                 seed=seed)
         assert est.c1_prime == 1.0 / n
         assert est.c2_prime == pytest.approx(1.0 / A.frobenius ** 2,
@@ -240,15 +235,15 @@ class TestComplexityEstimate:
         monkeypatch.setattr(diagnostics, "_psi_terms", counting)
         if instance == "lower_bound":
             A = InteractionMatrix.block_partition(12, 3)
-            est = c1_prime_estimate(("linear", np.ones((12, 1)), 4.0),
+            est = c1_prime_estimate(np.ones((12, 1)), 4.0,
                                     np.ones(12), 0.5, A)
         else:
             # the d3 instance at beta* = 0 takes the closed form: no psi
             beta_star = 0.2 if instance == "d3" else 0.0
             rng = np.random.default_rng(4)
             A = random_symmetric_matrix(rng, 15)
-            est = c1_prime_estimate(("linear", rng.standard_normal((15, 3)),
-                                     1.0), rng.normal(size=15), beta_star, A)
+            est = c1_prime_estimate(rng.standard_normal((15, 3)), 1.0,
+                                    rng.normal(size=15), beta_star, A)
         assert est.search_telemetry["evals"] == len(calls)
         assert (len(calls) > 0) == (instance != "beta_zero")
 
@@ -258,7 +253,7 @@ class TestComplexityEstimate:
         rng = np.random.default_rng(4)
         A = random_symmetric_matrix(rng, 15)
         X = rng.standard_normal((15, 3))
-        return ("linear", X, 1.0), rng.normal(size=15), beta_star, A
+        return X, 1.0, rng.normal(size=15), beta_star, A
 
     def test_search_gradients_match_central_differences(self, monkeypatch):
         # every objective the search hands to L-BFGS, checked at points
@@ -291,12 +286,12 @@ class TestComplexityEstimate:
         # G(phi) tends to the beta* = 0 quadratic, so the search's ratios
         # tend to the closed form's
         if instance == "d3":
-            fam, h_star, _, A = self._d3_instance(0.0)
+            X, radius, h_star, _, A = self._d3_instance(0.0)
         else:
             A = InteractionMatrix.block_partition(12, 3)
-            fam, h_star = ("linear", np.ones((12, 1)), 4.0), np.ones(12)
-        exact = c1_prime_estimate(fam, h_star, 0.0, A)
-        near = c1_prime_estimate(fam, h_star, 1e-9, A)
+            X, radius, h_star = np.ones((12, 1)), 4.0, np.ones(12)
+        exact = c1_prime_estimate(X, radius, h_star, 0.0, A)
+        near = c1_prime_estimate(X, radius, h_star, 1e-9, A)
         assert near.search_telemetry["evals"] > 0
         assert near.c1_prime == pytest.approx(exact.c1_prime, rel=1e-6)
         assert near.c2_prime == pytest.approx(exact.c2_prime, rel=1e-6)
@@ -306,13 +301,13 @@ class TestComplexityEstimate:
         # c2' = 1/||A||_F^2 = 1/r
         n, r = 12, 3
         A = InteractionMatrix.block_partition(n, r)
-        est = c1_prime_estimate(("linear", np.ones((n, 1)), 4.0), np.ones(n),
+        est = c1_prime_estimate(np.ones((n, 1)), 4.0, np.ones(n),
                                 0.5, A)
         assert est.c2_prime == pytest.approx(1.0 / r, rel=1e-9)
 
     def test_witness_certifies_c1_prime(self):
-        fam, h_star, beta_star, A = self._d3_instance(0.2)
-        est = c1_prime_estimate(fam, h_star, beta_star, A)
+        X, radius, h_star, beta_star, A = self._d3_instance(0.2)
+        est = c1_prime_estimate(X, radius, h_star, beta_star, A)
         wit = est.argmax_witness
         assert wit["lambda_slope"] != 0.0
         val = psi(wit["h"], wit["beta"], h_star, beta_star, A).value
@@ -351,7 +346,7 @@ class TestComplexityEstimate:
         match = "finite" if case in ("nan_x", "inf_h") else "must be 6 x d"
         for beta_star in (0.0, 0.3):
             with pytest.raises(ValueError, match=match):
-                c1_prime_estimate(("linear", X, 1.0), h_star, beta_star, A)
+                c1_prime_estimate(X, 1.0, h_star, beta_star, A)
 
 
 class TestKLTV:
@@ -418,19 +413,11 @@ class TestExchangeablePairs:
             exchangeable_pairs_test(m, np.zeros(6), 100)
 
     @pytest.mark.parametrize("kwargs,match", [
-        (dict(samples=0), "samples"), (dict(burn_in=-1), "burn_in"),
-        (dict(thin=0), "thin")])
+        (dict(samples=0), "samples"), (dict(burn_in=-1), "burn_in")])
     def test_argument_checks(self, kwargs, match):
         m = random_model(np.random.default_rng(5), 6)
         with pytest.raises(ValueError, match=match):
             exchangeable_pairs_test(m, np.ones(6), **{"samples": 10, **kwargs})
-
-    def test_thin_reaches_no_sweep(self):
-        # each state ends its own chain, so the spacing of states is moot
-        m = random_model(np.random.default_rng(7), 6)
-        a, b = (exchangeable_pairs_test(m, np.ones(6), 50, seed=2, thin=t)
-                for t in (1, 9))
-        assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
     def test_independent_case_beta_zero(self):
         n = 10

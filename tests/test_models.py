@@ -36,6 +36,29 @@ class TestEval:
         assert m2.eval(np.zeros((6, 4))).shape == (6, 3)
 
 
+class TestKinds:
+    @pytest.mark.parametrize("model,k", [
+        (FunctionClassModel("linear", {"theta": np.zeros(3)}), 1),
+        (FunctionClassModel("linear", {"theta": np.zeros((3, 2))}), 2),
+        (FunctionClassModel.mlp2(3, width=5), 1),
+        (FunctionClassModel.mlp2(3, n_outputs=4, width=5), 4)],
+        ids=["linear_1d", "linear_2d", "mlp2_k1", "mlp2_k4"])
+    def test_n_outputs_read_from_the_parameters(self, model, k):
+        assert model.n_outputs == k
+        out = model.eval(np.ones((6, 3)))
+        assert out.shape == ((6,) if k == 1 else (6, k))
+        assert model.with_flat(model.flatten()).n_outputs == k
+
+    def test_l1_radius_is_a_linear_constraint(self):
+        m = FunctionClassModel.linear(4, l2_radius=2.0, l1_radius=0.5)
+        assert m.kind == "linear" and m.l1_radius == 0.5
+        assert m.with_flat(m.flatten()).l1_radius == 0.5
+        assert np.abs(m.project_flat(np.full(4, 3.0))).sum() == \
+            pytest.approx(0.5)
+        with pytest.raises(ValueError, match="unknown model kind"):
+            FunctionClassModel("sparse_linear", {"theta": np.zeros(2)})
+
+
 class TestParamGrad:
     def test_zero_upstream(self):
         m = FunctionClassModel.mlp2(3, width=4, seed=1)
@@ -165,8 +188,7 @@ class TestProjection:
         {"l1_radius": np.nan}])
     def test_bad_radius_rejected_when_built(self, kwargs):
         with pytest.raises(ValueError, match="radius must be nonnegative"):
-            FunctionClassModel("sparse_linear", {"theta": np.zeros(2)},
-                               **kwargs)
+            FunctionClassModel("linear", {"theta": np.zeros(2)}, **kwargs)
 
     def test_mlp_rejects_l1(self):
         with pytest.raises(ValueError):
@@ -175,19 +197,6 @@ class TestProjection:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("maker", [
-        lambda: FunctionClassModel.linear(4, theta=np.arange(4.0)),
-        lambda: FunctionClassModel.sparse_linear(3, l1_radius=2.0,
-                                                 theta=np.array([1.0, 0, -1])),
-        lambda: FunctionClassModel.mlp2(3, n_outputs=2, width=4, seed=5),
-    ])
-    def test_json_roundtrip(self, maker):
-        m = maker()
-        m2 = FunctionClassModel.from_json(m.to_json())
-        assert m2.kind == m.kind and m2.n_outputs == m.n_outputs
-        for k in m.params:
-            np.testing.assert_array_equal(m.params[k], m2.params[k])
-
     def test_flat_roundtrip(self):
         m = FunctionClassModel.mlp2(3, width=4, seed=2)
         flat = m.flatten()

@@ -272,6 +272,18 @@ class TestFit:
                 PLProblem(A, np.zeros((5, 2)), random_spins(rng, 5),
                           FunctionClassModel.linear(2), beta_box=box)
 
+    def test_multi_output_model_rejected(self):
+        # refused when the problem is built, not deep inside the fit
+        rng = np.random.default_rng(36)
+        A = random_symmetric_matrix(rng, 64)
+        with pytest.raises(ValueError, match="one-output model, got 2"):
+            PLProblem(A, rng.normal(size=(64, 3)), random_spins(rng, 64),
+                      FunctionClassModel.linear(3, n_outputs=2))
+
+    def test_theta_hat_is_the_fitted_models_params(self):
+        res = fit(linear_problem(np.random.default_rng(34)), max_iters=50)
+        assert res.theta_hat is res.model.params
+
 
 def sweep_problems():
     """The eight frobenius-sweep fits of one ``rate-experiment`` op
@@ -373,15 +385,35 @@ class TestNewton:
         if "beta_frozen" in kwargs:
             assert res.beta_hat == kwargs["beta_frozen"]
 
+    def test_l1_radius_takes_pgd(self, monkeypatch):
+        # Newton's subproblem sees only the L2 ball, so a linear model with
+        # an L1 radius is fitted by PGD; the pinned values are PGD's
+        newton = spy(monkeypatch, "_fit_newton")
+        ds = gen_synthetic(InteractionMatrix.block_partition(512, 16), 8,
+                           beta_star=0.5, seed=3)
+        model = FunctionClassModel("linear", {"theta": np.zeros(8)},
+                                   l2_radius=2.0, l1_radius=0.3)
+        prob = PLProblem(ds.A, ds.X, ds.labels, model)
+        res = fit(prob)
+        assert not newton
+        theta = [float.fromhex(v) for v in (
+            "-0x1.25fdb3cbc9148p-4", "0x0.0p+0", "-0x1.d3678c8081dc0p-3",
+            "-0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0")]
+        assert res.objective_value.hex() == "0x1.36123dca18672p+8"
+        assert res.beta_hat.hex() == "0x1.afe755e33f02ep-3"
+        assert (res.iterations, res.stop_reason) == (157, "no_descent")
+        assert res.final_projected_grad_norm == 0.15504875860040251
+        assert res.theta_hat["theta"].tobytes() == np.array(theta).tobytes()
+
     @pytest.mark.parametrize("model", [
         FunctionClassModel.linear(mple.NEWTON_MAX_DIM, l2_radius=2.0),
-        FunctionClassModel.sparse_linear(3, l1_radius=1.0),
+        FunctionClassModel.linear(3, l1_radius=1.0),
         FunctionClassModel.mlp2(3, width=4)], ids=["large_d", "sparse", "mlp"])
     def test_other_models_take_pgd(self, monkeypatch, model):
         newton = spy(monkeypatch, "_fit_newton")
         pgd = spy(monkeypatch, "_fit_pgd")
         rng = np.random.default_rng(51)
-        d = 3 if model.kind != "linear" else mple.NEWTON_MAX_DIM
+        d = model.params["theta"].size if model.kind == "linear" else 3
         prob = PLProblem(random_symmetric_matrix(rng, 40),
                          rng.normal(size=(40, d)), random_spins(rng, 40),
                          model)

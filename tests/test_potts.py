@@ -19,7 +19,7 @@ def small_problem(rng, n=8, d=2, K=3, graph=True, kind="linear", **kw):
     model = (FunctionClassModel.linear(d, n_outputs=K, l2_radius=None)
              if kind == "linear"
              else FunctionClassModel.mlp2(d, n_outputs=K, width=5, seed=1))
-    return PottsProblem(K, A, X, y, model, beta_box=1.0, **kw)
+    return PottsProblem(A, X, y, model, beta_box=1.0, **kw)
 
 
 def finite_difference_gradient(prob, flat, beta, eps=1e-5):
@@ -88,7 +88,7 @@ class TestConditional:
         for code in range(2 ** n):
             y = ((code >> np.arange(n)) & 1).astype(np.int64)
             sigma = (2 * y - 1).astype(float)
-            prob = PottsProblem(2, A, X, y, model, beta_box=2.0)
+            prob = PottsProblem(A, X, y, model, beta_box=2.0)
             for i in range(n):
                 p1 = potts_conditional(prob, model.flatten(),
                                        2 * beta_ising, i)[1]
@@ -148,8 +148,8 @@ class TestObjective:
         m1 = FunctionClassModel.linear(d, n_outputs=K, theta=W, l2_radius=None)
         m2 = FunctionClassModel.linear(d + 1, n_outputs=K, theta=W_aug,
                                        l2_radius=None)
-        p1 = PottsProblem(K, A, X, y, m1, beta_box=1.0)
-        p2 = PottsProblem(K, A, X_aug, y, m2, beta_box=1.0)
+        p1 = PottsProblem(A, X, y, m1, beta_box=1.0)
+        p2 = PottsProblem(A, X_aug, y, m2, beta_box=1.0)
         v1 = potts_objective_grad(p1, m1.flatten(), 0.4)[0]
         v2 = potts_objective_grad(p2, m2.flatten(), 0.4)[0]
         assert v1 == pytest.approx(v2, abs=1e-10)
@@ -169,7 +169,7 @@ class TestObjective:
     def test_site_restriction_changes_objective(self):
         rng = np.random.default_rng(5)
         full = small_problem(rng, n=8)
-        sub = PottsProblem(full.K, full.A, full.X, full.y, full.model,
+        sub = PottsProblem(full.A, full.X, full.y, full.model,
                            beta_box=1.0, sites=np.array([0, 1, 2]))
         flat = rng.normal(size=full.model.flatten().size)
         v_full = potts_objective_grad(full, flat, 0.2)[0]
@@ -343,7 +343,7 @@ class TestFitAndPredict:
         probs /= probs.sum(1, keepdims=True)
         y = np.array([rng.choice(K, p=probs[i]) for i in range(n)])
         model = FunctionClassModel.linear(d, n_outputs=K, l2_radius=None)
-        prob = PottsProblem(K, A, X, y, model, beta_box=1.0)
+        prob = PottsProblem(A, X, y, model, beta_box=1.0)
         res = fit_potts(prob, beta_frozen=0.0, tol=1e-10)
 
         onehot = np.zeros((n, K))
@@ -382,10 +382,9 @@ class TestFitAndPredict:
         ds = planted_potts_dataset(n=200, K=3, seed=0)
         model = FunctionClassModel.mlp2(3, n_outputs=3, width=8)
         zero = FunctionClassModel("mlp2", {k: np.zeros_like(v) for k, v
-                                           in model.params.items()},
-                                  n_outputs=3)
-        res = fit_potts(PottsProblem(3, ds.A, ds.X, ds.labels, model))
-        from_zero = fit_potts(PottsProblem(3, ds.A, ds.X, ds.labels, zero))
+                                           in model.params.items()})
+        res = fit_potts(PottsProblem(ds.A, ds.X, ds.labels, model))
+        from_zero = fit_potts(PottsProblem(ds.A, ds.X, ds.labels, zero))
         assert np.all(from_zero.model.flatten() == 0.0)
         assert np.any(res.theta_hat["W1"] != 0.0)
         assert np.any(res.theta_hat["W2"] != 0.0)
@@ -419,10 +418,11 @@ class TestFitAndPredict:
         A = random_graph_matrix(rng, 4)
         X = rng.normal(size=(4, 2))
         m = FunctionClassModel.linear(2, n_outputs=2, l2_radius=None)
-        with pytest.raises(ValueError):
-            PottsProblem(2, A, X, np.array([0, 1, 2, 0]), m)
-        with pytest.raises(ValueError):
-            PottsProblem(3, A, X, np.array([0, 1, 2, 0]), m)  # K mismatch
+        with pytest.raises(ValueError, match="K = 2"):
+            PottsProblem(A, X, np.array([0, 1, 2, 0]), m)
+        # K is the model's output count
+        m3 = FunctionClassModel.linear(2, n_outputs=3, l2_radius=None)
+        assert PottsProblem(A, X, np.array([0, 1, 2, 0]), m3).K == 3
         for box in (-1.0, np.nan):
             with pytest.raises(ValueError, match="beta_box"):
-                PottsProblem(2, A, X, np.array([0, 1, 1, 0]), m, beta_box=box)
+                PottsProblem(A, X, np.array([0, 1, 1, 0]), m, beta_box=box)

@@ -75,7 +75,7 @@ def test_row_indexing_and_copy_keep_nbytes():
 
 def test_potts_problem_on_a_loaded_x_exposes_nbytes():
     ds = load_citation(FIXTURES / "toy_nodes.csv", FIXTURES / "toy_edges.txt")
-    problem = PottsProblem(3, ds.A, ds.X, ds.labels,
+    problem = PottsProblem(ds.A, ds.X, ds.labels,
                            FunctionClassModel.linear(4, n_outputs=3),
                            sites=[0, 2, 5], known=[0, 2, 5])
     assert problem.X is ds.X
@@ -95,7 +95,7 @@ def _models(d, k):
     shape = (d,) if k == 1 else (d, k)
     theta = rng.standard_normal(shape)
     return [FunctionClassModel.linear(d, k, theta=theta),
-            FunctionClassModel.sparse_linear(d, 2.0, k, theta=theta),
+            FunctionClassModel.linear(d, k, theta=theta, l1_radius=2.0),
             FunctionClassModel.mlp2(d, k, width=6, seed=2)]
 
 
@@ -132,7 +132,7 @@ def test_objectives_agree_on_csr_and_dense():
     for model in _models(4, 3):
         theta = model.flatten()
         theta = theta + 0.1 * rng.standard_normal(theta.size)
-        problems = [PottsProblem(3, ds.A, X, ds.labels, model,
+        problems = [PottsProblem(ds.A, X, ds.labels, model,
                                  sites=[1, 4, 6, 8], known=[0, 1, 4, 6, 8])
                     for X in (ds.X, dense)]
         got, want = (potts_objective_grad(p, theta, -0.4) for p in problems)
@@ -201,7 +201,7 @@ def test_potts_fit_and_predictions_agree_on_csr_and_dense():
     dense = ds.X.toarray()
     train, test = ds.splits["train"], ds.splits["test"]
     model = FunctionClassModel.linear(4, n_outputs=3, l2_radius=3.0)
-    fits = [fit_potts(PottsProblem(3, ds.A, X, ds.labels, model,
+    fits = [fit_potts(PottsProblem(ds.A, X, ds.labels, model,
                                    sites=train, known=train), max_iters=15,
                       tol=1e-12) for X in (ds.X, dense)]
     _assert_same_fit(*fits)
