@@ -13,7 +13,7 @@ and semi-supervised node-classification benchmarks.
 from .interaction import InteractionMatrix
 from .ising import IsingModel, ExactSummary, conditional_mean, exact_summary, gibbs_sample
 from .models import FunctionClassModel
-from .mple import PLProblem, FitResult, neg_log_pl, fit, predict_binary
+from .mple import PLProblem, FitResult, neg_log_pl, fit
 from .potts import (PottsProblem, potts_conditional, potts_objective_grad,
                     gibbs_sample_potts, fit_potts, predict_class)
 from .diagnostics import (PsiValue, ComplexityEstimate, KLReport, psi,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "InteractionMatrix", "IsingModel", "ExactSummary", "conditional_mean",
     "exact_summary", "gibbs_sample", "FunctionClassModel", "PLProblem",
-    "FitResult", "neg_log_pl", "fit", "predict_binary", "PottsProblem",
+    "FitResult", "neg_log_pl", "fit", "PottsProblem",
     "potts_conditional", "potts_objective_grad", "gibbs_sample_potts",
     "fit_potts", "predict_class", "PsiValue", "ComplexityEstimate",
     "KLReport", "psi", "c1_prime_estimate", "kl_tv_exact",

@@ -85,9 +85,6 @@ def cmd_fit(args):
     binary = set(np.unique(ds.labels)) <= {-1, 1}
     if args.model == "linear":
         maker = lambda n_out: FunctionClassModel.linear(
-            d, n_outputs=n_out, l2_radius=args.l2)
-    elif args.model == "sparse":
-        maker = lambda n_out: FunctionClassModel.linear(
             d, n_outputs=n_out, l2_radius=args.l2, l1_radius=args.l1)
     elif args.model == "mlp":
         maker = lambda n_out: FunctionClassModel.mlp2(
@@ -240,9 +237,10 @@ def build_parser():
     p.add_argument("--nodes", required=True)
     p.add_argument("--edges", required=True)
     p.add_argument("--model", default="linear",
-                   choices=["linear", "sparse", "mlp"])
+                   choices=["linear", "mlp"])
     p.add_argument("--beta-frozen", type=float, default=None)
-    p.add_argument("--l1", type=float, default=1.0)
+    p.add_argument("--l1", type=float, default=None,
+                   help="L1 radius of the linear model")
     p.add_argument("--l2", type=float, default=1.0)
     p.add_argument("--beta-box", type=float, default=1.0)
     p.add_argument("--width", type=int, default=32)

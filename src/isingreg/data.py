@@ -20,7 +20,7 @@ from . import interaction
 from .errors import DuplicateIdError, MalformedRowError, SplitError
 from .interaction import (InteractionMatrix, from_weighted_edges,
                           read_edge_list, write_edge_list)
-from .ising import IsingModel, gibbs_sample
+from .ising import DEFAULT_BURN_IN, IsingModel, gibbs_sample
 from .models import dense_design
 
 # the bound M on |h*| of a synthetic instance
@@ -98,7 +98,7 @@ class Dataset:
 
 
 def gen_synthetic(A, d, theta_star=None, beta_star=0.0, features=None,
-                  seed=0, burn_in=50):
+                  seed=0):
     """Draw one synthetic dependent-labels instance on the interaction
     matrix ``A`` (n = ``A.n``).
 
@@ -106,7 +106,9 @@ def gen_synthetic(A, d, theta_star=None, beta_star=0.0, features=None,
     otherwise; the true field is the linear map h* = X theta* clipped to
     [-M, M] with M = :data:`FIELD_BOUND` (the clip count is recorded and a
     clip fraction above 10% aborts), and labels are one Gibbs sample of the
-    spin model (A, h*, beta*).  Fully determined by ``seed``.
+    spin model (A, h*, beta*), taken after
+    :data:`isingreg.ising.DEFAULT_BURN_IN` sweeps.  Fully determined by
+    ``seed``.
     """
     n = A.n
     rng = np.random.default_rng(seed)
@@ -135,15 +137,14 @@ def gen_synthetic(A, d, theta_star=None, beta_star=0.0, features=None,
                       stacklevel=2)
 
     model = IsingModel(A, h, beta_star)
-    labels = gibbs_sample(model, 1, burn_in=burn_in,
-                          seed=int(rng.integers(2 ** 62)))[0]
+    labels = gibbs_sample(model, 1, seed=int(rng.integers(2 ** 62)))[0]
     return Dataset(
         X=X,
         labels=labels.astype(np.int64),
         A=A,
         ground_truth={"theta": theta_star, "beta": float(beta_star),
                       "clipped": clipped,
-                      "gibbs": {"burn_in": burn_in}},
+                      "gibbs": {"burn_in": DEFAULT_BURN_IN}},
     )
 
 

@@ -305,10 +305,10 @@ def exchangeable_pairs_test(model, v, samples, seed=0, burn_in=100):
     spins = rng.integers(0, 2, size=(model.n, samples)) * 2.0 - 1.0
     # one state per chain, so no thinning
     states = _run_chain(_sweeper(model, spins, rng), spins, 1, burn_in, 1,
-                        float)[0].T
-    local = model.A.local_field_many(states)
-    resid = states - np.tanh(model.beta * local + model.h)
-    f = resid @ v
+                        float)[0]
+    local = model.A.local_field(states)
+    resid = states - np.tanh(model.beta * local + model.h[:, None])
+    f = resid.T @ v
 
     scale2 = 8.0 * norm_v ** 2 * (1.0 + abs(model.beta) * model.A.infinity)
     t_grid = np.sqrt(scale2 / 2.0) * np.arange(0.5, 3.51, 0.5)

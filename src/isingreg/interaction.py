@@ -115,41 +115,42 @@ class InteractionMatrix:
 
     # -- linear maps ---------------------------------------------------
 
-    def matvec(self, v):
-        """A @ v using all stored entries, diagonal included."""
-        v = np.asarray(v, dtype=float)
+    def matvec(self, V):
+        """A @ V using all stored entries, diagonal included.  ``V`` has
+        shape (n,), or (n, m) for m vectors, one per column."""
+        V = np.asarray(V, dtype=float)
         if self._csr is not None:
-            return self._csr @ v
-        sums = np.bincount(self._block_labels, weights=v,
-                           minlength=len(self._block_sizes))
-        return self._block_value * sums[self._block_labels]
+            return self._csr @ V
+        return self._block_value * self._block_sums(V)[self._block_labels]
+
+    def _block_sums(self, V):
+        """Sums of the rows of ``V``, shape (n,) or (n, m), over each block:
+        shape (n_blocks,) or (n_blocks, m).  One ``bincount``; m columns
+        go to the cells b * m + c."""
+        nblocks = len(self._block_sizes)
+        if V.ndim == 1:
+            return np.bincount(self._block_labels, V, nblocks)
+        m = V.shape[1]
+        cells = (self._block_labels[:, None] * m + np.arange(m)).ravel()
+        return np.bincount(cells, V.ravel(), nblocks * m).reshape(nblocks, m)
 
     def diagonal(self):
         if self._csr is not None:
             return self._csr.diagonal()
         return np.full(self.n, self._block_value)
 
-    def local_field(self, sigma):
-        """Off-diagonal row sums (A sigma)_i with j != i.
+    def local_field(self, V):
+        """Off-diagonal row sums (A V)_i with j != i, of a vector of
+        length n or of each column of an (n, m) array.
 
-        ``sigma`` may be any real vector of length n; spin vectors are the
-        common case but the map is linear in its argument.
+        Spin vectors are the common case but the map is linear in its
+        argument.
         """
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (self.n,):
+        V = np.asarray(V, dtype=float)
+        if V.ndim not in (1, 2) or V.shape[0] != self.n:
             raise ValueError("vector length does not match node count")
-        return self.matvec(sigma) - self.diagonal() * sigma
-
-    def local_field_many(self, states):
-        """Row-wise ``local_field`` for a (m, n) batch of vectors."""
-        states = np.asarray(states, dtype=float)
-        if self._csr is not None:
-            full = states @ self._csr.T
-        else:
-            sums = np.zeros((states.shape[0], len(self._block_sizes)))
-            np.add.at(sums.T, self._block_labels, states.T)
-            full = self._block_value * sums[:, self._block_labels]
-        return full - self.diagonal() * states
+        diag = self.diagonal().reshape((self.n,) + (1,) * (V.ndim - 1))
+        return self.matvec(V) - diag * V
 
     def dense(self):
         if self.n > DENSE_CAP:

@@ -235,17 +235,14 @@ def _sweeper(model, spins, rng):
                                         1.0, -1.0)
         return run_sweep
 
-    # block sums by one bincount: chain c's spin i goes to bin b(i) * m + c
     nblocks, m = len(A._block_sizes), spins.size // n
-    cells = (labels[:, None] * m + np.arange(m)).ravel()
     shape = (nblocks,) + spins.shape[1:]
     a = _gaussian_coupling(model)
     if a is not None:
         sd = math.sqrt(a)
 
         def run_sweep():
-            block_sum = np.bincount(cells, spins.ravel(), nblocks * m)
-            t = a * block_sum.reshape(shape) + sd * rng.standard_normal(shape)
+            t = a * A._block_sums(spins) + sd * rng.standard_normal(shape)
             p_plus = 0.5 * (1.0 + np.tanh(t[labels] + h))
             spins[...] = np.where(rng.random(spins.shape) < p_plus, 1.0, -1.0)
         return run_sweep
@@ -257,8 +254,7 @@ def _sweeper(model, spins, rng):
     def run_sweep():
         u = rng.random(spins.shape).reshape(n, m).T.tolist()
         chains = spins.reshape(n, m).T.tolist()
-        sums = np.bincount(cells, spins.ravel(), nblocks * m)
-        sums = sums.reshape(nblocks, m).T.tolist()
+        sums = A._block_sums(spins).reshape(nblocks, m).T.tolist()
         for sigma, uc, block_sum in zip(chains, u, sums):
             for i in range(n):
                 b = ll[i]
@@ -384,9 +380,3 @@ def serialize_spins(states):
     buf = io.StringIO()
     np.savetxt(buf, np.atleast_2d(states), fmt="%d", delimiter=",")
     return buf.getvalue()
-
-
-def parse_spins(text):
-    """The rows :func:`serialize_spins` writes, as an int8 array."""
-    return np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.int8,
-                      ndmin=2)

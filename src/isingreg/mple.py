@@ -380,22 +380,3 @@ def _ball_solve(S, b, radius):
     if norm > radius:
         u *= radius / norm
     return Q @ u
-
-
-def predict_binary(A, X, model, beta, known_idx, known_values, targets):
-    """Predict spins at ``targets`` from the fitted field plus the
-    beta-weighted sum over *known-labeled* neighbors.
-
-    Unknown neighbors contribute zero; an exact zero net field breaks the
-    tie to +1.  ``targets`` must be disjoint from ``known_idx``.  The
-    field model is evaluated on the rows of X at ``targets`` only.
-    """
-    known_idx = np.asarray(known_idx, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    if np.intersect1d(known_idx, targets).size:
-        raise ValueError("targets must be disjoint from known labels")
-    filled = np.zeros(A.n)
-    filled[known_idx] = np.asarray(known_values, dtype=float)
-    neighbor = A.matvec(filled)[targets]
-    z = model.eval(as_design(X)[targets]) + beta * neighbor
-    return np.where(z >= 0.0, 1, -1).astype(np.int64)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interaction import InteractionMatrix
-from .ising import _colour_classes, _run_chain
+from .ising import DEFAULT_BURN_IN, DEFAULT_THIN, _colour_classes, _run_chain
 from .models import FunctionClassModel, as_design
 from .mple import DEFAULT_MAX_ITERS, DEFAULT_TOL, _fit_pgd
 
@@ -46,15 +46,13 @@ def _known_neighbor_counts(A, known, known_labels, K):
     c_i(k) = sum_{j != i, j in known} A_ij 1[y_j = k]."""
     filled = np.zeros((A.n, K))
     filled[known] = one_hot(known_labels, K)
-    counts = np.column_stack([A.matvec(filled[:, k]) for k in range(K)])
-    counts -= A.diagonal()[:, None] * filled
-    return counts
+    return A.local_field(filled)
 
 
 @dataclass(frozen=True, eq=False)
 class PottsProblem:
     """Labeled Potts instance.  K, the number of classes, is the model's
-    ``n_outputs``.
+    ``n_outputs`` and must be at least 2.
 
     ``sites`` are the indices whose conditionals enter the objective;
     ``known`` are the indices whose labels feed neighbor counts.  Both
@@ -81,6 +79,9 @@ class PottsProblem:
         n = self.A.n
         if X.shape[0] != n or y.shape != (n,):
             raise ValueError("A, X, y sizes disagree")
+        if self.K < 2:
+            raise ValueError(f"a Potts problem needs a model with at least "
+                             f"2 outputs, got K = {self.K}")
         if y.min(initial=0) < 0 or y.max(initial=0) >= self.K:
             raise ValueError(f"labels must lie in 0..K-1 for the model's "
                              f"K = {self.K} outputs")
@@ -140,7 +141,8 @@ def potts_objective_grad(problem, theta_flat, beta):
     return value, grad_theta, grad_beta
 
 
-def gibbs_sample_potts(A, X, model, beta, count, burn_in=50, thin=5, seed=0):
+def gibbs_sample_potts(A, X, model, beta, count, burn_in=DEFAULT_BURN_IN,
+                       thin=DEFAULT_THIN, seed=0):
     """Gibbs sampler for the Potts model with ground-truth field model and
     beta; returns (count, n) labels in 0..``model.n_outputs``-1.
 

@@ -38,7 +38,7 @@ def test_01_conditional_mean_identity():
         rng = np.random.default_rng(k)
         model = random_model(rng, n, graph=(k % 2 == 0))
         table = ir.exact_summary(model).full_table
-        local = model.A.local_field_many(spins)
+        local = model.A.local_field(spins.T).T
         got = np.tanh(model.beta * local + model.h)
         for i in range(n):
             flip = np.arange(2 ** n) ^ (1 << i)

@@ -222,7 +222,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("nodes", ["binary", "toy"])
     @pytest.mark.parametrize("flags", [
         ["--beta-box", "-1"], ["--beta-box", "nan"], ["--l2", "-1"],
-        ["--l2", "nan"], ["--model", "sparse", "--l1", "nan"]])
+        ["--l2", "nan"], ["--l1", "nan"]])
     def test_bad_box_or_radius_is_config_error(self, tmp_path, nodes, flags):
         # refused before any fit: clipping to a negative box pins beta, and
         # a NaN box or radius makes the starting objective non-finite
@@ -374,6 +374,16 @@ class TestExitCodes:
                         "--benchmark-seeds", "1", "--classes", classes]) == 2
         assert f"got {classes}" in capsys.readouterr().err
         assert not (tmp_path / "benchmark.csv").exists()
+
+    def test_one_label_value_is_config_error(self, tmp_path, capsys):
+        # every label 0 is a Potts fit with K = 1, refused before any fit
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("id,label,f1\n0,0,1.0\n1,0,0.5\n2,0,-0.25\n")
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+        assert run_cli(["--out-dir", tmp_path, "fit", "--nodes", nodes,
+                        "--edges", tmp_path / "edges.txt"]) == 2
+        assert "K = 1" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
     def test_negative_burn_in_is_config_error(self, tmp_path, capsys):
         assert run_cli(["--out-dir", tmp_path, "sample", "--n", "4",

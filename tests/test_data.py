@@ -35,7 +35,7 @@ class TestGenSynthetic:
         n = 2000
         ds = gen_synthetic(InteractionMatrix.curie_weiss(n), d=2,
                            theta_star=np.array([0.8, -0.3]), beta_star=0.0,
-                           seed=3, burn_in=10)
+                           seed=3)
         h = np.clip(ds.X @ ds.ground_truth["theta"], -5, 5)
         # single sample: compare the average residual sigma - tanh(h)
         resid = ds.labels - np.tanh(h)

@@ -446,7 +446,7 @@ class TestExchangeablePairs:
         n = 8
         spins = (((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) * 2 - 1
                  ).astype(float)
-        local = m.A.local_field_many(spins)
+        local = m.A.local_field(spins.T).T
         f = (spins - np.tanh(m.beta * local + m.h)) @ v
         assert float(f @ summ.full_table) == pytest.approx(0.0, abs=1e-12)
 

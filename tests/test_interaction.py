@@ -10,7 +10,8 @@ from isingreg.errors import DanglingEdgeError, MalformedRowError
 from isingreg.interaction import (from_weighted_edges, read_edge_list,
                                   write_edge_list)
 
-from helpers import random_graph_matrix, random_symmetric_matrix
+from helpers import (REFERENCE_MATRICES, random_graph_matrix,
+                     random_symmetric_matrix)
 
 
 class TestBlockPartition:
@@ -166,15 +167,18 @@ class TestLocalField:
         rhs = a * A.local_field(u) + b * A.local_field(v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
-    def test_local_field_many_matches_loop(self):
+    @pytest.mark.parametrize("kind",
+                             ["block_r1", "block_r4", "dense_hub_diagonal"])
+    def test_columns_match_one_vector_at_a_time(self, kind):
+        # an (n, m) argument is m vectors, one per column, bit for bit
         rng = np.random.default_rng(5)
-        for A in (random_symmetric_matrix(rng, 9, zero_diag=False),
-                  InteractionMatrix.block_partition(9, 3)):
-            states = rng.choice([-1.0, 1.0], size=(12, 9))
-            batch = A.local_field_many(states)
-            for k in range(12):
-                np.testing.assert_allclose(batch[k], A.local_field(states[k]),
-                                           atol=1e-12)
+        A = REFERENCE_MATRICES[kind](rng)
+        V = rng.normal(size=(A.n, 7))
+        for apply in (A.local_field, A.matvec):
+            batch = apply(V)
+            assert batch.shape == V.shape
+            for c in range(V.shape[1]):
+                np.testing.assert_array_equal(batch[:, c], apply(V[:, c]))
 
 
 class TestSymmetryAndStorage:

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from scipy.integrate import quad
 from isingreg import (InteractionMatrix, IsingModel, conditional_mean,
                       exact_summary, gibbs_sample)
 from isingreg.errors import EnumerationCapError
-from isingreg.ising import (_run_chain, _sweeper, parse_spins, scan_order,
-                           serialize_spins, sweep_distribution)
+from isingreg.ising import (_run_chain, _sweeper, scan_order, serialize_spins,
+                           sweep_distribution)
 
 from helpers import (REFERENCE_MATRICES, enumeration_conditional,
                      random_model, random_spins, reference_gibbs_sample)
@@ -371,4 +372,6 @@ class TestSpinSerialization:
         states = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
         text = serialize_spins(states)
         assert text == "1,-1,1\n-1,-1,1\n"
-        np.testing.assert_array_equal(parse_spins(text), states)
+        back = np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.int8,
+                          ndmin=2)
+        np.testing.assert_array_equal(back, states)

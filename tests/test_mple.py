@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 
 from isingreg import (FunctionClassModel, InteractionMatrix, IsingModel,
                       PLProblem, fit, gen_synthetic, gibbs_sample, mple,
-                      neg_log_pl, predict_binary)
+                      neg_log_pl)
 from isingreg.harness import SWEEP_DEFAULTS, _sweep_instance
 from isingreg.models import project_l2
 from isingreg.mple import _newton_point, log2cosh, projected_gradient_descent
@@ -217,8 +217,7 @@ class TestFit:
             [(2 * i, 2 * i + 1) for i in range(n // 2)], n)
         b_errs, t_errs = [], []
         for seed in range(10):
-            ds = gen_synthetic(matching, d=3,
-                               beta_star=0.0, seed=seed, burn_in=30)
+            ds = gen_synthetic(matching, d=3, beta_star=0.0, seed=seed)
             prob = PLProblem(ds.A, ds.X, ds.labels.astype(float),
                              FunctionClassModel.linear(3, l2_radius=5.0),
                              beta_box=1.0)
@@ -419,58 +418,3 @@ class TestNewton:
                          model)
         fit(prob, max_iters=5)
         assert len(pgd) == 1 and not newton
-
-
-class TestPredictBinary:
-    def test_beta_zero_is_field_classifier(self):
-        rng = np.random.default_rng(40)
-        n, d = 10, 2
-        A = random_graph_matrix(rng, n)
-        X = rng.normal(size=(n, d))
-        m = FunctionClassModel.linear(d, theta=rng.normal(size=d))
-        targets = np.array([0, 3, 7])
-        known = np.setdiff1d(np.arange(n), targets)
-        pred = predict_binary(A, X, m, 0.0, known, np.ones(known.size), targets)
-        want = np.where(m.eval(X)[targets] >= 0, 1, -1)
-        np.testing.assert_array_equal(pred, want)
-
-    def test_isolated_node_ignores_beta(self):
-        # node 3 has no edges: prediction equals the field sign
-        A = InteractionMatrix.from_adjacency([(0, 1), (1, 2)], 4)
-        X = np.array([[1.0], [1.0], [1.0], [-0.5]])
-        m = FunctionClassModel.linear(1, theta=np.array([1.0]))
-        pred = predict_binary(A, X, m, 0.9, np.array([0, 1, 2]),
-                              np.array([1.0, 1.0, 1.0]), np.array([3]))
-        assert pred[0] == -1
-
-    def test_formula_against_direct_evaluation(self):
-        rng = np.random.default_rng(41)
-        n, d = 6, 2
-        A = random_symmetric_matrix(rng, n)
-        X = rng.normal(size=(n, d))
-        m = FunctionClassModel.linear(d, theta=rng.normal(size=d))
-        beta = 0.6
-        known = np.array([0, 2, 4])
-        vals = np.array([1.0, -1.0, 1.0])
-        targets = np.array([1, 3, 5])
-        pred = predict_binary(A, X, m, beta, known, vals, targets)
-        dense = A.dense()
-        for t, i in enumerate(targets):
-            z = m.eval(X)[i] + beta * sum(
-                dense[i, j] * v for j, v in zip(known, vals))
-            assert pred[t] == (1 if np.tanh(z) >= 0 else -1)
-
-    def test_tie_breaks_to_plus_one(self):
-        A = InteractionMatrix.from_adjacency([(0, 1)], 2)
-        X = np.zeros((2, 1))
-        m = FunctionClassModel.linear(1, theta=np.array([0.0]))
-        pred = predict_binary(A, X, m, 0.5, np.array([]), np.array([]),
-                              np.array([0, 1]))
-        np.testing.assert_array_equal(pred, [1, 1])
-
-    def test_overlap_rejected(self):
-        A = InteractionMatrix.from_adjacency([(0, 1)], 2)
-        m = FunctionClassModel.linear(1)
-        with pytest.raises(ValueError):
-            predict_binary(A, np.zeros((2, 1)), m, 0.0, np.array([0]),
-                           np.array([1.0]), np.array([0, 1]))

@@ -423,6 +423,25 @@ class TestFitAndPredict:
         # K is the model's output count
         m3 = FunctionClassModel.linear(2, n_outputs=3, l2_radius=None)
         assert PottsProblem(A, X, np.array([0, 1, 2, 0]), m3).K == 3
+        m1 = FunctionClassModel.linear(2, l2_radius=None)
+        with pytest.raises(ValueError, match="K = 1"):
+            PottsProblem(A, X, np.zeros(4, dtype=np.int64), m1)
         for box in (-1.0, np.nan):
             with pytest.raises(ValueError, match="beta_box"):
                 PottsProblem(A, X, np.array([0, 1, 1, 0]), m, beta_box=box)
+
+
+@pytest.mark.parametrize("kind", ["block_r4", "adjacency"])
+def test_counts_match_one_class_at_a_time(kind):
+    # c_i(k) is the off-diagonal local field of the known sites of class k
+    rng = np.random.default_rng(18)
+    A = REFERENCE_MATRICES[kind](rng)
+    K = 4
+    y = rng.integers(0, K, size=A.n)
+    known = np.flatnonzero(rng.random(A.n) < 0.6)
+    model = FunctionClassModel.linear(2, n_outputs=K)
+    prob = PottsProblem(A, rng.normal(size=(A.n, 2)), y, model, known=known)
+    for k in range(K):
+        filled = np.zeros(A.n)
+        filled[known] = y[known] == k
+        np.testing.assert_array_equal(prob.counts[:, k], A.local_field(filled))

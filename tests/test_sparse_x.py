@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from isingreg import (FunctionClassModel, PLProblem, PottsProblem, fit,
                       fit_potts, load_citation, neg_log_pl,
-                      potts_objective_grad, predict_binary, predict_class)
+                      potts_objective_grad, predict_class)
 from isingreg.data import SparseFeatures, _scan_nodes
 from isingreg.mple import _fit_pgd
 
@@ -208,11 +208,6 @@ def test_potts_fit_and_predictions_agree_on_csr_and_dense():
     res = fits[0]
     preds = [predict_class(ds.A, X, res.model, res.beta_hat, train,
                            ds.labels[train], test) for X in (ds.X, dense)]
-    np.testing.assert_array_equal(*preds)
-    sigma = np.where(ds.labels == 0, 1, -1)
-    binary = FunctionClassModel.linear(4, theta=[0.3, -0.2, 0.1, 0.5])
-    preds = [predict_binary(ds.A, X, binary, 0.4, train, sigma[train], test)
-             for X in (ds.X, dense)]
     np.testing.assert_array_equal(*preds)
 
 
