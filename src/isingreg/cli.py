@@ -21,9 +21,10 @@ from .data import load_citation, make_splits
 from .errors import DataFormatError, NumericalFailure
 from .interaction import (InteractionMatrix, from_weighted_edges,
                           read_edge_list)
-from .ising import IsingModel, gibbs_sample, serialize_spins
+from .ising import (DEFAULT_BURN_IN, DEFAULT_THIN, IsingModel, gibbs_sample,
+                    serialize_spins)
 from .models import FunctionClassModel, dense_design
-from .mple import PLProblem, fit
+from .mple import DEFAULT_MAX_ITERS, DEFAULT_TOL, PLProblem, fit
 from .potts import PottsProblem, fit_potts
 
 EXIT_OK = 0
@@ -52,12 +53,10 @@ def _matrix_from_args(args, n):
         return InteractionMatrix.block_partition(n, args.block_r)
     if args.matrix == "curie-weiss":
         return InteractionMatrix.curie_weiss(n)
-    if args.matrix == "edges":
-        if args.edge_file is None:
-            raise ValueError("--matrix edges needs --edge-file")
-        with Path(args.edge_file).open() as fh:
-            return from_weighted_edges(read_edge_list(fh), n)
-    raise ValueError(f"unknown matrix kind {args.matrix!r}")
+    if args.edge_file is None:
+        raise ValueError("--matrix edges needs --edge-file")
+    with Path(args.edge_file).open() as fh:
+        return from_weighted_edges(read_edge_list(fh), n)
 
 
 def cmd_sample(args):
@@ -79,6 +78,8 @@ def cmd_sample(args):
 
 
 def cmd_fit(args):
+    if args.model == "mlp" and args.l1 is not None:
+        raise ValueError("--l1 applies only to --model linear")
     out = _out_dir(args)
     ds = load_citation(args.nodes, args.edges)
     d = ds.X.shape[1]
@@ -86,11 +87,9 @@ def cmd_fit(args):
     if args.model == "linear":
         maker = lambda n_out: FunctionClassModel.linear(
             d, n_outputs=n_out, l2_radius=args.l2, l1_radius=args.l1)
-    elif args.model == "mlp":
+    else:
         maker = lambda n_out: FunctionClassModel.mlp2(
             d, n_outputs=n_out, width=args.width, seed=args.seed)
-    else:
-        raise ValueError(f"unknown model {args.model!r}")
 
     if binary:
         problem = PLProblem(ds.A, ds.X, ds.labels.astype(float), maker(1),
@@ -229,8 +228,8 @@ def build_parser():
     p.add_argument("--beta", type=float, default=0.3)
     p.add_argument("--field-scale", type=float, default=0.5)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--burn-in", type=int, default=50)
-    p.add_argument("--thin", type=int, default=5)
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
+    p.add_argument("--thin", type=int, default=DEFAULT_THIN)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("fit", help="fit MPLE on a dataset")
@@ -244,8 +243,8 @@ def build_parser():
     p.add_argument("--l2", type=float, default=1.0)
     p.add_argument("--beta-box", type=float, default=1.0)
     p.add_argument("--width", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=10000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("diagnose", help="norms, kappa, psi, C1', KL report")

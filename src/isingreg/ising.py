@@ -270,10 +270,10 @@ def _sweeper(model, spins, rng):
 
 
 def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
-                 seed=0, initial=None):
+                 seed=0):
     """Gibbs sampler: ``count`` states of shape (count, n), separated by
     ``thin`` sweeps after ``burn_in`` sweeps.  Deterministic given
-    ``seed``; the initial state, unless given, is drawn first.
+    ``seed``; the initial state is drawn first.
 
     On a block matrix of value v with a = beta * v >= 0 a sweep is the
     auxiliary-Gaussian (Hubbard-Stratonovich) two-step update.  With S_b
@@ -315,10 +315,7 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
     """
     n = model.n
     rng = np.random.default_rng(seed)
-    if initial is None:
-        spins = (rng.integers(0, 2, size=n) * 2 - 1).astype(float)
-    else:
-        spins = _check_spins(initial, n)
+    spins = (rng.integers(0, 2, size=n) * 2 - 1).astype(float)
     return _run_chain(_sweeper(model, spins, rng), spins, count, burn_in,
                       thin, np.int8)
 

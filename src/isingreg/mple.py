@@ -91,13 +91,13 @@ class FitResult:
     """The fitted model plus optimizer telemetry.
 
     ``stop_reason`` says why the solver stopped: ``"tol"`` (the
-    projected-gradient norm reached the tolerance), ``"max_iters"`` or
-    ``"no_descent"``.  For projected gradient descent ``"no_descent"``
-    means no step along the projected gradient lowered the objective in
-    floating point; for projected Newton it means the line search found
-    no lower value, or the step's predicted decrease was below the
-    objective's rounding and the full step did not lower the
-    projected-gradient norm.  Only ``"tol"`` counts as converged.
+    projected-gradient norm at the returned iterate is within the
+    tolerance), ``"max_iters"`` or ``"no_descent"``.  For PGD
+    ``"no_descent"`` means no step along the projected gradient lowered
+    the objective in floating point; for projected Newton it means the
+    line search found no lower value, or the step's predicted decrease
+    was below the objective's rounding and the full step did not lower
+    the projected-gradient norm.  Only ``"tol"`` counts as converged.
     """
 
     beta_hat: float
@@ -143,34 +143,48 @@ def neg_log_pl(problem, theta_flat, beta):
     return value, grad_theta, grad_beta
 
 
+def _descend(objective, project, z, step, max_iters, tol):
+    """The iteration loop of both fit drivers, from the feasible point z.
+
+    Each pass reads the unit-step projected-gradient norm at z and stops
+    with ``"tol"`` once it is at most ``tol``; otherwise ``step(z, value,
+    grad, pg_norm)`` returns the next accepted ``(z, value, grad)``, or
+    None (stop with ``"no_descent"``) when it certifies no lower value.
+    After ``max_iters`` steps one more pass reads the norm only, so every
+    stop reports it at the z it returns.  Returns (z, value, iterations,
+    pg_norm, stop_reason).
+    """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    value, grad = objective(z)
+    if not np.isfinite(value):
+        raise NumericalFailure("objective is non-finite at the starting point")
+    for iters in range(1, max_iters + 2):
+        pg_norm = float(np.linalg.norm(z - project(z - grad)))
+        if pg_norm <= tol or iters > max_iters:
+            return (z, value, min(iters, max_iters), pg_norm,
+                    "tol" if pg_norm <= tol else "max_iters")
+        moved = step(z, value, grad, pg_norm)
+        if moved is None:
+            return z, value, iters, pg_norm, "no_descent"
+        z, value, grad = moved
+
+
 def projected_gradient_descent(objective, project, z0,
                                max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL):
     """Monotone projected gradient descent with Armijo backtracking.
 
     The trial step is a Barzilai-Borwein curvature estimate clipped to
     (0, ``MAX_STEP``], halved until the Armijo condition (constant 1e-4)
-    holds.  Deterministic.  Returns (z, value, iterations, pg_norm,
-    stop_reason), where pg_norm is the unit-step projected-gradient norm
-    and stop_reason is ``"tol"`` (pg_norm reached ``tol``),
-    ``"no_descent"`` (the line search found no lower value) or
-    ``"max_iters"``.  ``max_iters`` below 1 raises ``ValueError``.
+    holds; ``"no_descent"`` means no step lowered the value.
+    Deterministic.  Projects ``z0``, then returns :func:`_descend`'s
+    (z, value, iterations, pg_norm, stop_reason).
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    z = project(np.asarray(z0, dtype=float))
-    value, grad = objective(z)
-    if not np.isfinite(value):
-        raise NumericalFailure("objective is non-finite at the starting point")
-
     step = MAX_STEP
     prev_z = prev_grad = None
-    pg_norm = np.inf
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        pg = z - project(z - grad)
-        pg_norm = float(np.linalg.norm(pg))
-        if pg_norm <= tol:
-            return z, value, iters, pg_norm, "tol"
+
+    def advance(z, value, grad, pg_norm):
+        nonlocal step, prev_z, prev_grad
         if prev_z is not None:
             dz = z - prev_z
             dg = grad - prev_grad
@@ -178,7 +192,6 @@ def projected_gradient_descent(objective, project, z0,
             if curv > 0:
                 step = float(dz @ dz) / curv
         step = min(max(step, 1e-16), MAX_STEP)
-        moved = False
         while step > 1e-18:
             z_new = project(z - step * grad)
             diff = z - z_new
@@ -188,14 +201,13 @@ def projected_gradient_descent(objective, project, z0,
             if np.isfinite(value_new) and value_new < value and \
                     value_new <= value - (ARMIJO_C / step) * float(diff @ diff):
                 prev_z, prev_grad = z, grad
-                z, value, grad = z_new, value_new, grad_new
-                moved = True
-                break
+                return z_new, value_new, grad_new
             step *= 0.5
-        if not moved:
-            # descent no longer certifiable at machine precision
-            return z, value, iters, pg_norm, "no_descent"
-    return z, value, iters, pg_norm, "max_iters"
+        # descent no longer certifiable at machine precision
+        return None
+
+    return _descend(objective, project, project(np.asarray(z0, dtype=float)),
+                    advance, max_iters, tol)
 
 
 def fit(problem, beta_frozen=None, max_iters=DEFAULT_MAX_ITERS,
@@ -285,29 +297,16 @@ def _fit_newton(problem, beta_frozen, max_iters, tol):
     with strict descent plus Armijo.  Once the model's decrease is below
     the rounding of the objective, the full step is taken only if it
     lowers the projected-gradient norm; otherwise the fit stops with
-    ``"no_descent"``.  Same stop reasons and telemetry as
-    :func:`projected_gradient_descent`.
+    ``"no_descent"``.  The loop, stop reasons and telemetry are
+    :func:`_descend`'s.
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    z, (lo, hi), project, value_grad = _stacked(problem, neg_log_pl,
-                                                beta_frozen)
+    z0, (lo, hi), project, value_grad = _stacked(problem, neg_log_pl,
+                                                 beta_frozen)
     Z = np.column_stack([dense_design(problem.X), problem.local])
     radius = problem.model.l2_radius
     radius = np.inf if radius is None else radius
-    value, grad = value_grad(z)
-    if not np.isfinite(value):
-        raise NumericalFailure("objective is non-finite at the starting point")
 
-    def pg_norm_at(zz, gg):
-        return float(np.linalg.norm(zz - project(zz - gg)))
-
-    stop_reason = "max_iters"
-    for iters in range(1, max_iters + 1):
-        pg_norm = pg_norm_at(z, grad)
-        if pg_norm <= tol:
-            stop_reason = "tol"
-            break
+    def advance(z, value, grad, pg_norm):
         w = 1.0 - np.tanh(Z @ z) ** 2
         H = Z.T @ (w[:, None] * Z)
         # a relative ridge keeps H, and the Schur complement of its beta
@@ -323,15 +322,15 @@ def _fit_newton(problem, beta_frozen, max_iters, tol):
             z_new = project(z + t * step)
             value_new, grad_new = value_grad(z_new)
             if np.isfinite(value_new) and (
-                    pg_norm_at(z_new, grad_new) < pg_norm if rounding
+                    np.linalg.norm(z_new - project(z_new - grad_new)) < pg_norm
+                    if rounding
                     else (value_new < value and
                           value_new <= value - ARMIJO_C * t * decrease)):
-                z, value, grad = z_new, value_new, grad_new
-                break
-        else:
-            stop_reason = "no_descent"
-            break
-    return _result(problem.model, z, value, iters, pg_norm, stop_reason)
+                return z_new, value_new, grad_new
+        return None
+
+    return _result(problem.model, *_descend(value_grad, project, z0, advance,
+                                            max_iters, tol))
 
 
 def _newton_point(H, c, radius, lo, hi):

@@ -41,6 +41,25 @@ def one_hot(y, k):
     return out
 
 
+def _index_set(name, idx, n):
+    """``idx`` as int64 node indices, refused unless each lies in 0..n-1
+    and none repeats."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if np.any((idx < 0) | (idx >= n)) or np.unique(idx).size != idx.size:
+        raise ValueError(f"{name} must be distinct node indices in "
+                         f"0..{n - 1}")
+    return idx
+
+
+def _class_count(model):
+    """The model's number of outputs K, refused below 2."""
+    K = model.n_outputs
+    if K < 2:
+        raise ValueError(f"a Potts problem needs a model with at least "
+                         f"2 outputs, got K = {K}")
+    return K
+
+
 def _known_neighbor_counts(A, known, known_labels, K):
     """(n, K) matrix of known-neighbor label counts, self excluded:
     c_i(k) = sum_{j != i, j in known} A_ij 1[y_j = k]."""
@@ -79,9 +98,7 @@ class PottsProblem:
         n = self.A.n
         if X.shape[0] != n or y.shape != (n,):
             raise ValueError("A, X, y sizes disagree")
-        if self.K < 2:
-            raise ValueError(f"a Potts problem needs a model with at least "
-                             f"2 outputs, got K = {self.K}")
+        _class_count(self.model)
         if y.min(initial=0) < 0 or y.max(initial=0) >= self.K:
             raise ValueError(f"labels must lie in 0..K-1 for the model's "
                              f"K = {self.K} outputs")
@@ -89,9 +106,9 @@ class PottsProblem:
             raise ValueError(
                 f"beta_box must be nonnegative, got {self.beta_box}")
         sites = (np.arange(n) if self.sites is None
-                 else np.asarray(self.sites, dtype=np.int64))
+                 else _index_set("sites", self.sites, n))
         known = (np.arange(n) if self.known is None
-                 else np.asarray(self.known, dtype=np.int64))
+                 else _index_set("known", self.known, n))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sites", sites)
@@ -118,8 +135,7 @@ def potts_conditional(problem, theta_flat, beta, i):
     if not 0 <= i < problem.A.n:
         raise IndexError(f"site {i} out of range")
     model = problem.model.with_flat(np.asarray(theta_flat, dtype=float))
-    fields = np.atleast_2d(model.eval(problem.X[i:i + 1]))
-    z = fields[0] + beta * problem.counts[i]
+    z = model.eval(problem.X[i:i + 1])[0] + beta * problem.counts[i]
     return softmax_rows(z[None, :])[0]
 
 
@@ -157,7 +173,7 @@ def gibbs_sample_potts(A, X, model, beta, count, burn_in=DEFAULT_BURN_IN,
     n = A.n
     rng = np.random.default_rng(seed)
     y = rng.integers(0, K, size=n)
-    fields = np.atleast_2d(model.eval(X))
+    fields = model.eval(X)
     if fields.shape != (n, K):
         raise ValueError("model output shape must be (n, K)")
     classes = _colour_classes(A)
@@ -192,16 +208,15 @@ def predict_class(A, X, model, beta, known_idx, known_labels, targets):
     """Argmax of the conditional restricted to known-labeled neighbors.
 
     Unknown neighbors contribute zero; argmax ties break to the lowest
-    class index.  The field model is evaluated on the rows of X at
-    ``targets`` only.
+    class index.  The field model, which needs at least 2 outputs, is
+    evaluated on the rows of X at ``targets`` only.
     """
-    known_idx = np.asarray(known_idx, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
+    K = _class_count(model)
+    known_idx = _index_set("known_idx", known_idx, A.n)
+    targets = _index_set("targets", targets, A.n)
     if np.intersect1d(known_idx, targets).size:
         raise ValueError("targets must be disjoint from known labels")
     counts = _known_neighbor_counts(
-        A, known_idx, np.asarray(known_labels, dtype=np.int64),
-        model.n_outputs)
-    z = np.atleast_2d(model.eval(as_design(X)[targets]))
-    z = z + beta * counts[targets]
+        A, known_idx, np.asarray(known_labels, dtype=np.int64), K)
+    z = model.eval(as_design(X)[targets]) + beta * counts[targets]
     return np.argmax(z, axis=1)

@@ -385,6 +385,23 @@ class TestExitCodes:
         assert "K = 1" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_l1_with_mlp_is_config_error(self, tmp_path, capsys, spelling):
+        # the L1 radius belongs to the linear model; an MLP fit must not
+        # drop it without a word
+        argv = ["--out-dir", tmp_path, "fit", "--nodes",
+                FIXTURES / "toy_nodes.csv", "--edges",
+                FIXTURES / "toy_edges.txt", "--model", "mlp"]
+        if spelling == "flag":
+            argv += ["--l1", "0.001"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"l1": 0.001}')
+            argv = ["--config", cfg, *argv]
+        assert run_cli(argv) == 2
+        assert "--l1" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
     def test_negative_burn_in_is_config_error(self, tmp_path, capsys):
         assert run_cli(["--out-dir", tmp_path, "sample", "--n", "4",
                         "--count", "1", "--burn-in", "-3"]) == 2

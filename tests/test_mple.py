@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from isingreg import (FunctionClassModel, InteractionMatrix, IsingModel,
-                      PLProblem, fit, gen_synthetic, gibbs_sample, mple,
-                      neg_log_pl)
+                      PLProblem, PottsProblem, fit, fit_potts, gen_synthetic,
+                      gibbs_sample, mple, neg_log_pl, potts_objective_grad)
 from isingreg.harness import SWEEP_DEFAULTS, _sweep_instance
 from isingreg.models import project_l2
-from isingreg.mple import _newton_point, log2cosh, projected_gradient_descent
+from isingreg.mple import (DEFAULT_TOL, _newton_point, log2cosh,
+                           projected_gradient_descent)
 
 from helpers import random_graph_matrix, random_spins, random_symmetric_matrix
 
@@ -307,6 +308,65 @@ def spy(monkeypatch, name):
 
     monkeypatch.setattr(mple, name, wrapper)
     return calls
+
+
+@pytest.fixture(scope="module")
+def driver_problems():
+    """(fitter, objective, problem) for each fit driver: projected Newton,
+    PGD (a linear model with an L1 radius) and the Potts PGD fit."""
+    ds = gen_synthetic(InteractionMatrix.block_partition(512, 16), 5,
+                       beta_star=0.5, seed=3)
+    y = np.random.default_rng(5).integers(0, 3, size=512)
+    return {
+        "newton": (fit, neg_log_pl, PLProblem(
+            ds.A, ds.X, ds.labels, FunctionClassModel.linear(5, l2_radius=2.0))),
+        "pgd": (fit, neg_log_pl, PLProblem(
+            ds.A, ds.X, ds.labels,
+            FunctionClassModel.linear(5, l2_radius=2.0, l1_radius=0.5))),
+        "potts": (fit_potts, potts_objective_grad, PottsProblem(
+            ds.A, ds.X, y,
+            FunctionClassModel.linear(5, n_outputs=3, l2_radius=2.0))),
+    }
+
+
+class TestStopContract:
+    """Every fit reports the projected-gradient norm at the iterate it
+    returns, and stops at ``"tol"`` exactly when that norm is at most
+    ``tol``."""
+
+    @staticmethod
+    def recomputed(objective, problem, res):
+        _, _, project, value_grad = mple._stacked(problem, objective, None)
+        z = np.append(res.model.flatten(), res.beta_hat)
+        value, grad = value_grad(z)
+        return value, float(np.linalg.norm(z - project(z - grad)))
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3])
+    @pytest.mark.parametrize("driver", ["newton", "pgd", "potts"])
+    def test_norm_is_read_at_the_returned_iterate(self, monkeypatch,
+                                                  driver_problems, driver,
+                                                  max_iters):
+        newton = spy(monkeypatch, "_fit_newton")
+        fitter, objective, problem = driver_problems[driver]
+        res = fitter(problem, max_iters=max_iters)
+        assert bool(newton) == (driver == "newton")
+        value, norm = self.recomputed(objective, problem, res)
+        assert res.objective_value == value
+        assert res.final_projected_grad_norm == norm
+        assert res.converged == (norm <= DEFAULT_TOL)
+        assert (res.iterations, res.stop_reason) == (max_iters, "max_iters")
+
+    def test_last_iterate_within_tol_stops_at_tol(self, driver_problems):
+        # Newton's fifth step meets tol = 1e-4, which the sixth pass reads;
+        # a fit allowed five steps returns the same iterate, converged
+        _, _, problem = driver_problems["newton"]
+        full = fit(problem, tol=1e-4)
+        assert (full.iterations, full.stop_reason) == (6, "tol")
+        res = fit(problem, max_iters=5, tol=1e-4)
+        assert (res.iterations, res.stop_reason) == (5, "tol")
+        assert res.final_projected_grad_norm == full.final_projected_grad_norm
+        assert res.model.flatten().tobytes() == full.model.flatten().tobytes()
+        assert res.beta_hat == full.beta_hat
 
 
 class TestNewton:

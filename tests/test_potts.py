@@ -431,6 +431,45 @@ class TestFitAndPredict:
                 PottsProblem(A, X, np.array([0, 1, 1, 0]), m, beta_box=box)
 
 
+def path_graph_problem_parts():
+    """A 6-node path, features and 3-class labels."""
+    rng = np.random.default_rng(19)
+    A = InteractionMatrix.from_adjacency([(i, i + 1) for i in range(5)], 6)
+    model = FunctionClassModel.linear(2, n_outputs=3, l2_radius=None)
+    return A, rng.normal(size=(6, 2)), rng.integers(0, 3, size=6), model
+
+
+class TestIndexSets:
+    """Node index sets are refused, naming the set, before any work when
+    an index falls outside 0..n-1 or repeats."""
+
+    @pytest.mark.parametrize("name", ["sites", "known"])
+    @pytest.mark.parametrize("bad", [[-1, -2], [0, 0, 0], [2, 6]])
+    def test_problem(self, name, bad):
+        A, X, y, model = path_graph_problem_parts()
+        with pytest.raises(ValueError, match=f"^{name} must be distinct"):
+            PottsProblem(A, X, y, model, **{name: bad})
+
+    @pytest.mark.parametrize("known_idx,targets,name", [
+        # -1 would mean node 5, a known node, past the disjointness check
+        ([0, 1, 5], [-1], "targets"),
+        ([0, 1], [3, 3], "targets"),
+        ([0, 1], [6], "targets"),
+        ([0, 1, 1], [3], "known_idx"),
+        ([-2, 1, 0], [3], "known_idx")])
+    def test_predict_class(self, known_idx, targets, name):
+        A, X, y, model = path_graph_problem_parts()
+        with pytest.raises(ValueError, match=f"^{name} must be distinct"):
+            predict_class(A, X, model, 0.5, known_idx, y[:len(known_idx)],
+                          targets)
+
+    def test_predict_class_refuses_one_output_model(self):
+        A, X, _, _ = path_graph_problem_parts()
+        one = FunctionClassModel.linear(2, l2_radius=None)
+        with pytest.raises(ValueError, match="at least 2 outputs, got K = 1"):
+            predict_class(A, X, one, 0.5, [0, 1], [0, 0], [3, 4])
+
+
 @pytest.mark.parametrize("kind", ["block_r4", "adjacency"])
 def test_counts_match_one_class_at_a_time(kind):
     # c_i(k) is the off-diagonal local field of the known sites of class k
