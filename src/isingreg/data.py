@@ -192,6 +192,8 @@ def validate_splits(splits, n):
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise SplitError(f"split {name!r} references nodes outside 0..{n-1}")
+        if np.unique(idx).size != idx.size:
+            raise SplitError(f"split {name!r} repeats a node")
         if np.any(seen[idx]):
             raise SplitError(f"split {name!r} overlaps another split")
         seen[idx] = True

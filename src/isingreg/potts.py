@@ -51,6 +51,15 @@ def _index_set(name, idx, n):
     return idx
 
 
+def _labels(y, K):
+    """``y`` as int64 class labels, refused unless each lies in 0..K-1."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.min(initial=0) < 0 or y.max(initial=0) >= K:
+        raise ValueError(f"labels must lie in 0..K-1 for the model's "
+                         f"K = {K} outputs")
+    return y
+
+
 def _class_count(model):
     """The model's number of outputs K, refused below 2."""
     K = model.n_outputs
@@ -98,10 +107,7 @@ class PottsProblem:
         n = self.A.n
         if X.shape[0] != n or y.shape != (n,):
             raise ValueError("A, X, y sizes disagree")
-        _class_count(self.model)
-        if y.min(initial=0) < 0 or y.max(initial=0) >= self.K:
-            raise ValueError(f"labels must lie in 0..K-1 for the model's "
-                             f"K = {self.K} outputs")
+        y = _labels(y, _class_count(self.model))
         if not self.beta_box >= 0:
             raise ValueError(
                 f"beta_box must be nonnegative, got {self.beta_box}")
@@ -209,14 +215,15 @@ def predict_class(A, X, model, beta, known_idx, known_labels, targets):
 
     Unknown neighbors contribute zero; argmax ties break to the lowest
     class index.  The field model, which needs at least 2 outputs, is
-    evaluated on the rows of X at ``targets`` only.
+    evaluated on the rows of X at ``targets`` only.  A known label
+    outside 0..K-1 raises ``ValueError``.
     """
     K = _class_count(model)
     known_idx = _index_set("known_idx", known_idx, A.n)
     targets = _index_set("targets", targets, A.n)
     if np.intersect1d(known_idx, targets).size:
         raise ValueError("targets must be disjoint from known labels")
-    counts = _known_neighbor_counts(
-        A, known_idx, np.asarray(known_labels, dtype=np.int64), K)
+    known_labels = _labels(known_labels, K)
+    counts = _known_neighbor_counts(A, known_idx, known_labels, K)
     z = model.eval(as_design(X)[targets]) + beta * counts[targets]
     return np.argmax(z, axis=1)

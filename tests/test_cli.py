@@ -490,6 +490,18 @@ class TestExitCodes:
             capsys.readouterr().err
         assert not (tmp_path / "benchmark.csv").exists()
 
+    def test_benchmark_split_repeating_a_node(self, tmp_path, capsys):
+        splits = tmp_path / "splits.json"
+        splits.write_text(json.dumps({"train": [0, 0, 1, 2, 4, 5],
+                                      "val": [6, 7, 8], "test": [9]}))
+        assert run_cli(["--out-dir", tmp_path, "benchmark",
+                        "--nodes", FIXTURES / "toy_nodes.csv",
+                        "--edges", FIXTURES / "toy_edges.txt",
+                        "--splits", splits, "--benchmark-seeds", "1",
+                        "--model-kind", "linear"]) == 2
+        assert "split 'train' repeats a node" in capsys.readouterr().err
+        assert not (tmp_path / "benchmark.csv").exists()
+
     @pytest.mark.parametrize("splits, message", [
         ({"train": [], "val": [6, 7, 8], "test": [9]}, "split 'train' is empty"),
         ({"train": [0, 1, 2, 3, 4, 5], "val": [6, 7, 8], "test": []},

@@ -281,6 +281,11 @@ class TestCitationFormat:
             load_citation(nodes, tmp_path / "edges.txt",
                           tmp_path / "splits.json")
 
+    def test_repeated_index_in_one_split_rejected(self):
+        with pytest.raises(SplitError, match="^split 'train' repeats a node$"):
+            validate_splits({"train": [0, 0, 1], "test": [3]}, 6)
+        validate_splits({"train": [0, 2, 1], "test": [3]}, 6)
+
     def test_table1_schema_shape(self):
         # the loader reports (classes, nodes, edges, features) so converted
         # public sets line up with the documented counts, e.g. Cora

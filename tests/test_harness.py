@@ -222,6 +222,68 @@ class TestBenchmark:
                      "acc_mple0_std", "acc_mpleb_mean", "acc_mpleb_std"):
             assert want in metrics
 
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """Every FitResult accuracy_benchmark's fits return, in order."""
+        fits = []
+        fit_potts = harness.fit_potts
+
+        def record(*args, **kwargs):
+            fits.append(fit_potts(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(harness, "fit_potts", record)
+        return fits
+
+    def test_linear_fits_stop_at_tol(self, fits):
+        ds = planted_potts_dataset(n=80, K=3, seed=2)
+        table = accuracy_benchmark(ds, seeds=[0, 1], model_kind="linear")
+        # two methods at every radius for each seed
+        assert len(fits) == 2 * 2 * len(harness.LINEAR_L2_RADII)
+        assert [f.stop_reason for f in fits] == ["tol"] * len(fits)
+        for method in ("mple0", "mpleb"):
+            assert [v for _, v in table.values(f"converged_{method}")] == \
+                [1.0, 1.0]
+            assert {v for _, v in table.values(f"l2_radius_{method}")} <= \
+                set(harness.LINEAR_L2_RADII)
+
+    def test_no_test_label_enters_selection(self, fits):
+        # on this instance, scoring the radii on test labels instead of
+        # val changes the chosen radii under either permutation
+        ds = planted_potts_dataset(n=120, K=3, seed=1)
+        test = ds.splits["test"]
+        labelings = [ds.labels]
+        for seed in (1, 2):
+            shuffled = ds.labels.copy()
+            shuffled[test] = np.random.default_rng(seed).permutation(
+                shuffled[test])
+            assert np.any(shuffled != ds.labels)
+            labelings.append(shuffled)
+        runs = []
+        for labels in labelings:
+            ds.labels = labels
+            fits.clear()
+            table = accuracy_benchmark(ds, seeds=[0], model_kind="linear")
+            chosen = [(m, v) for m in table.metrics()
+                      if m.startswith("l2_radius_") or m == "beta_hat"
+                      for _, v in table.values(m)]
+            runs.append((chosen, [(f.model.flatten().tobytes(), f.beta_hat)
+                                  for f in fits]))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_linear_run_needs_val(self, fits):
+        ds = planted_potts_dataset(n=40, K=2, seed=3)
+        ds.splits = {"train": np.sort(np.concatenate(
+            [ds.splits["train"], ds.splits["val"]])),
+            "val": np.array([], dtype=np.int64), "test": ds.splits["test"]}
+        with pytest.raises(ValueError, match="split 'val' is empty"):
+            accuracy_benchmark(ds, seeds=[0], model_kind="linear")
+        assert fits == []
+        # one mlp2 fit per method chooses nothing, so needs no val
+        table = accuracy_benchmark(ds, seeds=[0], model_kind="mlp2", width=4)
+        assert len(fits) == 2
+        assert not any(m.startswith("l2_radius_") for m in table.metrics())
+
     def test_drawn_splits_with_no_test_nodes_rejected(self):
         # classes of fewer than 3 members go wholly to train
         ds = planted_potts_dataset(n=40, K=2, seed=3)

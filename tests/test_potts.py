@@ -463,6 +463,13 @@ class TestIndexSets:
             predict_class(A, X, model, 0.5, known_idx, y[:len(known_idx)],
                           targets)
 
+    @pytest.mark.parametrize("labels", [[-1, -1], [0, 3]])
+    def test_predict_class_refuses_labels_outside_the_classes(self, labels):
+        # -1 would wrap to class K - 1 and 3 would index past the classes
+        A, X, _, model = path_graph_problem_parts()
+        with pytest.raises(ValueError, match="0..K-1 for the model's K = 3"):
+            predict_class(A, X, model, 1.0, [0, 2], labels, [1])
+
     def test_predict_class_refuses_one_output_model(self):
         A, X, _, _ = path_graph_problem_parts()
         one = FunctionClassModel.linear(2, l2_radius=None)
