@@ -228,8 +228,15 @@ def build_parser():
     p.add_argument("--beta", type=float, default=0.3)
     p.add_argument("--field-scale", type=float, default=0.5)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
-    p.add_argument("--thin", type=int, default=DEFAULT_THIN)
+    # on these matrices a * n_b = beta, so 0 <= beta <= 1 - 1e-6 draws
+    # exactly
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN,
+                   help="sweeps before the first sample; checked but unused "
+                        "where the draw is exact (block or curie-weiss "
+                        "matrix, 0 <= beta <= 1 - 1e-6)")
+    p.add_argument("--thin", type=int, default=DEFAULT_THIN,
+                   help="sweeps between samples; checked but unused where "
+                        "the draw is exact")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("fit", help="fit MPLE on a dataset")

@@ -20,7 +20,7 @@ from . import interaction
 from .errors import DuplicateIdError, MalformedRowError, SplitError
 from .interaction import (InteractionMatrix, from_weighted_edges,
                           read_edge_list, write_edge_list)
-from .ising import DEFAULT_BURN_IN, IsingModel, gibbs_sample
+from .ising import DEFAULT_BURN_IN, IsingModel, _exact_coupling, gibbs_sample
 from .models import dense_design
 
 # the bound M on |h*| of a synthetic instance
@@ -105,9 +105,11 @@ def gen_synthetic(A, d, theta_star=None, beta_star=0.0, features=None,
     Features are ``features`` when given, i.i.d. standard Gaussian
     otherwise; the true field is the linear map h* = X theta* clipped to
     [-M, M] with M = :data:`FIELD_BOUND` (the clip count is recorded and a
-    clip fraction above 10% aborts), and labels are one Gibbs sample of the
-    spin model (A, h*, beta*), taken after
-    :data:`isingreg.ising.DEFAULT_BURN_IN` sweeps.  Fully determined by
+    clip fraction above 10% aborts), and labels are one
+    :func:`isingreg.ising.gibbs_sample` draw of the spin model
+    (A, h*, beta*): an exact draw on the block models it draws exactly,
+    else the state after :data:`isingreg.ising.DEFAULT_BURN_IN` sweeps.
+    ``ground_truth["gibbs"]`` records which.  Fully determined by
     ``seed``.
     """
     n = A.n
@@ -138,13 +140,15 @@ def gen_synthetic(A, d, theta_star=None, beta_star=0.0, features=None,
 
     model = IsingModel(A, h, beta_star)
     labels = gibbs_sample(model, 1, seed=int(rng.integers(2 ** 62)))[0]
+    gibbs = ({"exact": True} if _exact_coupling(model) is not None
+             else {"burn_in": DEFAULT_BURN_IN})
     return Dataset(
         X=X,
         labels=labels.astype(np.int64),
         A=A,
         ground_truth={"theta": theta_star, "beta": float(beta_star),
                       "clipped": clipped,
-                      "gibbs": {"burn_in": DEFAULT_BURN_IN}},
+                      "gibbs": gibbs},
     )
 
 

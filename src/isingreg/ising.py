@@ -16,16 +16,14 @@ enters a conditional.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import logsumexp
 
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, NumericalFailure
 from .interaction import InteractionMatrix
 
 ENUMERATION_CAP = 20
@@ -35,6 +33,12 @@ DEFAULT_BURN_IN = 50
 DEFAULT_THIN = 5
 # Gauss-Hermite nodes per block Gaussian in sweep_distribution
 _HERMITE_NODES = 80
+# Newton steps toward each block's mode before the exact draw
+_NEWTON_STEPS = 4
+# the largest a * n_b drawn exactly: near 1 a block takes about
+# 0.4 / sqrt(1 - a * n_b) proposals, 13 at 0.999 and 390 at 1 - 1e-6, and
+# a * n_b = 1 can round to just below it (1/49 * 49 < 1)
+_EXACT_COUPLING_CAP = 1.0 - 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +116,7 @@ def exact_summary(model):
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"exact enumeration capped at n={ENUMERATION_CAP}, got n={n}")
+    from scipy.special import logsumexp  # 3-6 MB of RSS to import: not at load
     a_off = model.A.dense()
     np.fill_diagonal(a_off, 0.0)
 
@@ -184,16 +189,20 @@ def _colour_classes(A):
             for k0, k1 in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
-def _run_chain(run_sweep, state, count, burn_in, thin, dtype):
-    """``count`` copies of ``state``, an array of any shape that
-    ``run_sweep`` updates in place: the first after ``burn_in`` sweeps,
-    each later one ``thin`` sweeps after the one before."""
+def _check_chain(count, burn_in, thin):
     if count < 1:
         raise ValueError("count must be at least 1")
     if thin < 1:
         raise ValueError("thin must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
+
+
+def _run_chain(run_sweep, state, count, burn_in, thin, dtype):
+    """``count`` copies of ``state``, an array of any shape that
+    ``run_sweep`` updates in place: the first after ``burn_in`` sweeps,
+    each later one ``thin`` sweeps after the one before."""
+    _check_chain(count, burn_in, thin)
     out = np.empty((count,) + state.shape, dtype=dtype)
     for _ in range(burn_in):
         run_sweep()
@@ -207,11 +216,79 @@ def _run_chain(run_sweep, state, count, burn_in, thin, dtype):
 
 def _gaussian_coupling(model):
     """a = beta * v on a block matrix of value v when a >= 0, where
-    :func:`gibbs_sample` runs the auxiliary-Gaussian sweep; else None."""
+    :func:`_sweeper` runs the auxiliary-Gaussian sweep; else None."""
     if model.A._block_labels is None:
         return None
     a = model.beta * model.A._block_value
     return a if a >= 0 else None
+
+
+def _exact_coupling(model):
+    """a where :func:`gibbs_sample` draws exactly: on a block matrix with
+    a = beta * v >= 0 and a times the largest block size at most
+    :data:`_EXACT_COUPLING_CAP`; else None."""
+    a = _gaussian_coupling(model)
+    if a is None or a * model.A._block_sizes.max() > _EXACT_COUPLING_CAP:
+        return None
+    return a
+
+
+def _log_acceptance(x, delta):
+    """Per-site terms of log p_b(t) - log envelope_b(t) at t = c + delta,
+    for the sites of one block at x = c + h_i:
+
+        log cosh(x + delta) - log cosh(x) - tanh(x) * delta - delta^2 / 2.
+
+    Each is at most 0, since (log cosh)'' = sech^2 <= 1.  The first
+    difference is log((1 + tanh x) e^delta / 2 + (1 - tanh x) e^-delta / 2),
+    so delta is never added to a field too large to feel it."""
+    with np.errstate(over="ignore"):
+        log_2cosh = np.logaddexp(x, -x)
+        ratio = np.logaddexp(delta + (x - log_2cosh),
+                             (-x - log_2cosh) - delta)
+    return ratio - np.tanh(x) * delta - 0.5 * delta * delta
+
+
+def _exact_block_draws(model, a, count, rng):
+    """``count`` independent draws of a block model at a = beta * v with
+    0 <= a * n_b < 1 for every block b, as (count, n) int8: see
+    :func:`gibbs_sample`."""
+    A, h, n = model.A, model.h, model.n
+    labels, sizes = A._block_labels, A._block_sizes
+    nblocks = len(sizes)
+    t = np.zeros(count * nblocks)
+    if a > 0:
+        kappa = 1.0 / a - sizes
+        c = np.zeros(nblocks)
+        for _ in range(_NEWTON_STEPS):
+            u = np.tanh(c[labels] + h)
+            slope = np.bincount(labels, u, nblocks) - c / a
+            c = c + slope / (kappa + np.bincount(labels, u * u, nblocks))
+        x = c[labels] + h
+        slope = np.bincount(labels, np.tanh(x), nblocks) - c / a
+        mean, sd = c + slope / kappa, 1.0 / np.sqrt(kappa)
+        # the sites of each block, block after block
+        order = np.argsort(labels, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        pending = np.arange(count * nblocks)
+        while pending.size:
+            b = pending % nblocks
+            proposal = mean[b] + sd[b] * rng.standard_normal(pending.size)
+            u = rng.random(pending.size)
+            lens = sizes[b]
+            pair = np.repeat(np.arange(pending.size), lens)
+            skip = np.repeat(starts[b] - (np.cumsum(lens) - lens), lens)
+            sites = order[np.arange(len(pair)) + skip]
+            log_ratio = np.bincount(pair, _log_acceptance(
+                x[sites], (proposal - c[b])[pair]), pending.size)
+            if not np.isfinite(log_ratio).all():
+                raise NumericalFailure("exact block draw: acceptance ratio "
+                                       "is not finite")
+            accept = u < np.exp(log_ratio)
+            t[pending[accept]] = proposal[accept]
+            pending = pending[~accept]
+    p_plus = 0.5 * (1.0 + np.tanh(t.reshape(count, nblocks)[:, labels] + h))
+    return np.where(rng.random((count, n)) < p_plus, 1, -1).astype(np.int8)
 
 
 def _sweeper(model, spins, rng):
@@ -271,16 +348,41 @@ def _sweeper(model, spins, rng):
 
 def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
                  seed=0):
-    """Gibbs sampler: ``count`` states of shape (count, n), separated by
-    ``thin`` sweeps after ``burn_in`` sweeps.  Deterministic given
-    ``seed``; the initial state is drawn first.
+    """``count`` spin states of ``model``, shape (count, n), int8 +/-1.
+    Deterministic given ``seed``.
 
-    On a block matrix of value v with a = beta * v >= 0 a sweep is the
-    auxiliary-Gaussian (Hubbard-Stratonovich) two-step update.  With S_b
-    the spin sum of block b, the law is proportional to
+    On a block matrix of value v with a = beta * v >= 0 and
+    a * n_b <= :data:`_EXACT_COUPLING_CAP` = 1 - 1e-6 for every block size
+    n_b, the states are independent exact draws and ``burn_in`` and
+    ``thin`` are checked but not used.  With S_b the spin
+    sum of block b, the law is proportional to
     exp(a/2 * sum_b S_b^2 + h . sigma), since the stored diagonal only
-    adds a constant, and adding one Gaussian per block leaves it as the
-    sigma-marginal:
+    adds a constant.  Adding one Gaussian t_b ~ N(a * S_b, a) per block
+    leaves it as the sigma-marginal; t_b's own law is
+    p_b(t) propto exp(f_b(t)), f_b(t) = -t^2/(2a) + sum_{i in b}
+    log cosh(t + h_i), and given t the spins are independent.  Since
+    f_b'' <= -kappa_b with kappa_b = 1/a - n_b, at any centre c
+    f_b(t) <= f_b(c) + f_b'(c) (t - c) - kappa_b (t - c)^2 / 2, a Gaussian
+    envelope.  So a draw is:
+
+    1. c_b after ``_NEWTON_STEPS`` Newton steps from 0 toward the mode of
+       f_b, with no random draws;
+    2. rounds of rejection over the (draw k, block b) pairs not yet
+       accepted, in the order k * n_blocks + b: one
+       ``rng.standard_normal`` and then one ``rng.random`` of that many
+       entries give t = c_b + f_b'(c_b)/kappa_b + z/sqrt(kappa_b) and its
+       test, accepted when u < exp(f_b(t) - envelope(t));
+    3. one ``rng.random((count, n))``: sigma_i = +1 when its entry is
+       below (1 + tanh(t_b(i) + h_i)) / 2.
+
+    At a = 0, t = 0 and only step 3 draws.  A pair takes about 1.1
+    proposals at a * n_b = 0.5, 4 at 0.99 and 390 at the cap (h = 0); a
+    non-finite acceptance ratio raises ``NumericalFailure``.
+
+    Everywhere else the states are a Markov chain, ``thin`` sweeps apart
+    after ``burn_in`` sweeps, from an initial state drawn first.  On a
+    block matrix with a >= 0 (and some a * n_b above the cap) a sweep is
+    the auxiliary-Gaussian (Hubbard-Stratonovich) two-step update:
 
     1. t_b ~ N(a * S_b, a) for every block, from one
        ``rng.standard_normal(n_blocks)``, t_b = a * S_b + sqrt(a) * z_b;
@@ -288,7 +390,7 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
        (1 + tanh(t_b(i) + h_i)) / 2, against the i-th of one
        ``rng.random(n)``.
 
-    Elsewhere a sweep visits every site once, in the order of
+    Otherwise a sweep visits every site once, in the order of
     :func:`scan_order`, and sets it to +1 with probability
     (1 + tanh(beta * local_field_i + h_i)) / 2, the k-th site in scan
     order against the k-th of the sweep's ``rng.random(n)``.  That is
@@ -298,14 +400,12 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
     interact, resampling a class at once is the same as visiting its
     sites one by one.
 
-    Cost: a two-step sweep is O(n) numpy, a ``bincount``, one
-    ``np.tanh``, one comparison, with no Python loop over sites.  It
-    mixes more slowly per sweep than a single-site scan: at n=10 and
-    h=0 the second-largest eigenvalue modulus of the exact one-sweep
-    kernel is 0.46 against 0.22 for Curie-Weiss at beta=0.5, and 0.86
-    against 0.58 for 5 blocks at beta=2.  So at beta * ||A||_inf = 0.5
-    the distance to the law shrinks by a factor e about every 1.3 sweeps,
-    well inside the default burn-in of 50.
+    Cost: an exact draw and a two-step sweep are each O(n) numpy with no
+    Python loop over sites.  The two-step sweep mixes more slowly per
+    sweep than a single-site scan: at n=10 and h=0 the second-largest
+    eigenvalue modulus of the exact one-sweep kernel is 0.46 against
+    0.22 for Curie-Weiss at beta=0.5, and 0.86 against 0.58 for 5 blocks
+    at beta=2.
     On a block matrix with a < 0 a site visit is O(1) Python steps on
     scalars, with one running sum per block.  On a CSR matrix a colour
     class is one numpy step: the product of its off-diagonal rows with
@@ -313,18 +413,21 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
     sweep costs numpy's fixed per-call overhead once per class plus
     O(nnz) arithmetic.
     """
-    n = model.n
+    _check_chain(count, burn_in, thin)
     rng = np.random.default_rng(seed)
-    spins = (rng.integers(0, 2, size=n) * 2 - 1).astype(float)
+    a = _exact_coupling(model)
+    if a is not None:
+        return _exact_block_draws(model, a, count, rng)
+    spins = (rng.integers(0, 2, size=model.n) * 2 - 1).astype(float)
     return _run_chain(_sweeper(model, spins, rng), spins, count, burn_in,
                       thin, np.int8)
 
 
 def sweep_distribution(model, probs):
     """Push a distribution over all 2^n states through one sweep of
-    :func:`gibbs_sample`, exactly.  Used to verify stationarity at small n.
+    :func:`_sweeper`, exactly.  Used to verify stationarity at small n.
 
-    Where :func:`gibbs_sample` runs the auxiliary-Gaussian sweep, each
+    Where :func:`_sweeper` runs the auxiliary-Gaussian sweep, each
     block's Gaussian is integrated out by Gauss-Hermite quadrature, one
     block at a time; elsewhere the sites are visited in
     :func:`scan_order`."""
@@ -373,7 +476,11 @@ def sweep_distribution(model, probs):
 
 
 def serialize_spins(states):
-    """Spin vectors as +/-1 integer CSV rows; one vector is one row."""
-    buf = io.StringIO()
-    np.savetxt(buf, np.atleast_2d(states), fmt="%d", delimiter=",")
-    return buf.getvalue()
+    """Spin vectors as +/-1 integer CSV rows; one vector is one row.  The
+    text is that of ``np.savetxt(..., fmt="%d", delimiter=",")``, built as
+    one array of fixed-width cells."""
+    rows = np.atleast_2d(states)
+    cells = np.where(rows > 0, b"1,", b"-1,")
+    cells[:, -1] = np.where(rows[:, -1] > 0, b"1\n", b"-1\n")
+    # a two-byte cell is padded with one NUL
+    return cells.tobytes().replace(b"\0", b"").decode()

@@ -1,16 +1,23 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.stats import chi2
 
 from isingreg import (InteractionMatrix, IsingModel, conditional_mean,
                       exact_summary, gibbs_sample)
-from isingreg.errors import EnumerationCapError
-from isingreg.ising import (_run_chain, _sweeper, scan_order, serialize_spins,
+import isingreg.ising as ising
+from isingreg.errors import EnumerationCapError, NumericalFailure
+from isingreg.ising import (_exact_coupling, _log_acceptance, _run_chain,
+                           _sweeper, scan_order, serialize_spins,
                            sweep_distribution)
 
 from helpers import (REFERENCE_MATRICES, enumeration_conditional,
@@ -62,6 +69,23 @@ class TestConditionalMean:
 
 
 class TestExactSummary:
+    def test_import_leaves_scipy_special_unloaded(self):
+        # only exact_summary needs scipy.special, which costs 3-6 MB of RSS
+        src = str(Path(ising.__file__).resolve().parents[1])
+        code = ("import sys, isingreg.cli; "
+                "assert 'scipy.special' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
+    def test_log_partition_is_pinned(self):
+        # the values of the module-level scipy.special import
+        summ = exact_summary(random_model(np.random.default_rng(41), 10,
+                                          graph=True))
+        assert summ.log_partition.hex() == "0x1.904a419087e3cp+0"
+        summ = exact_summary(IsingModel(InteractionMatrix.block_partition(
+            12, 3), np.linspace(-1, 1, 12), 0.7))
+        assert summ.log_partition.hex() == "0x1.a87c12034e634p+1"
+
     def test_uniform_at_zero_parameters(self):
         model = two_spin_model(0.0)
         summ = exact_summary(model)
@@ -166,6 +190,137 @@ class TestGibbs:
             gibbs_sample(model, 1, burn_in=-3)
 
 
+def _table_p_value(states, probs):
+    """Chi-square p-value of the full-table counts of ``states`` against
+    ``probs``, its cells as in :func:`spin_table`; cells expected fewer
+    than 5 times are pooled into one."""
+    codes = ((states > 0).astype(np.int64) << np.arange(states.shape[1])).sum(
+        axis=1)
+    observed = np.bincount(codes, minlength=len(probs))
+    expected = len(states) * probs
+    rare = expected < 5
+    if rare.any():
+        observed = np.append(observed[~rare], observed[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    return float(chi2.sf(stat, len(expected) - 1))
+
+
+def _log_density(t, a, h):
+    """f_b(t) = -t^2/(2a) + sum_i log cosh(t + h_i), straight from the
+    formula."""
+    x = t + np.asarray(h)
+    return -t * t / (2 * a) + float(np.sum(np.logaddexp(x, -x) - np.log(2)))
+
+
+class TestExactBlockDraws:
+    """On block matrices with 0 <= a * n_b < 1, ``gibbs_sample`` returns
+    independent exact draws."""
+
+    # (block labels, a * largest block, seed); labels 3 of the last case
+    # is empty, and its blocks are unequal and interleaved
+    CASES = [
+        ([0] * 6, 0.0, 1),
+        ([0] * 8, 0.5, 2),
+        ([0] * 12, 0.95, 3),
+        ([0] * 5 + [1] * 5, 0.3, 4),
+        ([0] * 6 + [1] * 6, 0.95, 5),
+        ([0] * 3 + [1] * 3 + [2] * 3, 0.8, 6),
+        ([0] * 4 + [1] * 4 + [2] * 4, 0.95, 7),
+        ([0, 2, 1, 2, 0, 2, 4, 2, 1, 2, 4], 0.9, 8),
+    ]
+
+    @pytest.mark.parametrize("labels,coupling,seed", CASES)
+    def test_full_table_matches_enumeration(self, labels, coupling, seed):
+        rng = np.random.default_rng(seed)
+        n, value = len(labels), 0.25
+        A = InteractionMatrix(n, block_labels=labels, block_value=value)
+        beta = coupling / (value * A._block_sizes.max())
+        model = IsingModel(A, rng.uniform(-1.0, 1.0, size=n), beta)
+        assert _exact_coupling(model) is not None
+        states = gibbs_sample(model, 40_000, seed=seed)
+        # a correct sampler fails one case with probability 1e-3
+        assert _table_p_value(states, exact_summary(model).full_table) > 1e-3
+
+    def test_draws_are_independent(self):
+        # the table of two consecutive draws is the product of the tables
+        rng = np.random.default_rng(9)
+        A = InteractionMatrix.block_partition(4, 2)
+        model = IsingModel(A, rng.uniform(-1.0, 1.0, size=4), 0.9)
+        states = gibbs_sample(model, 40_001, seed=9)
+        pairs = np.hstack([states[:-1], states[1:]])
+        probs = exact_summary(model).full_table
+        assert _table_p_value(pairs, np.outer(probs, probs).T.ravel()) > 1e-3
+
+    def test_burn_in_and_thin_are_checked_but_not_used(self):
+        model = IsingModel(InteractionMatrix.block_partition(12, 3),
+                           np.linspace(-1.0, 1.0, 12), 0.5)
+        want = gibbs_sample(model, 5, seed=3)
+        got = gibbs_sample(model, 5, burn_in=0, thin=1, seed=3)
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="thin"):
+            gibbs_sample(model, 5, thin=0)
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, -0.5])
+    def test_other_block_models_run_the_chain(self, beta):
+        A = InteractionMatrix.block_partition(12, 3)
+        model = IsingModel(A, np.linspace(-1.0, 1.0, 12), beta)
+        assert _exact_coupling(model) is None
+        rng = np.random.default_rng(3)
+        spins = (rng.integers(0, 2, size=12) * 2 - 1).astype(float)
+        want = _run_chain(_sweeper(model, spins, rng), spins, 4, 50, 5, np.int8)
+        assert gibbs_sample(model, 4, seed=3).tobytes() == want.tobytes()
+
+    def test_coupling_just_below_one_runs_the_chain(self):
+        # 1/49 * 49 rounds to just below 1, where a block would take about
+        # 1e8 proposals; the cap 1 - 1e-6 itself still draws exactly
+        model = IsingModel(InteractionMatrix.curie_weiss(49), np.zeros(49),
+                           1.0)
+        assert model.beta * model.A._block_value * 49 < 1
+        assert _exact_coupling(model) is None
+        model = IsingModel(InteractionMatrix.block_partition(12, 3),
+                           np.zeros(12), ising._EXACT_COUPLING_CAP)
+        assert _exact_coupling(model) is not None
+        assert gibbs_sample(model, 20, seed=4).shape == (20, 12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=30),
+           st.floats(0.01, 0.999), st.floats(-8.0, 8.0), st.floats(-30.0, 30.0))
+    def test_envelope_dominates_log_density(self, h, coupling, c, t):
+        # envelope(t) = f(c) + f'(c)(t - c) - kappa (t - c)^2 / 2 with
+        # kappa = 1/a - n_b, at any centre c
+        a = coupling / len(h)
+        kappa = 1.0 / a - len(h)
+        slope = -c / a + float(np.sum(np.tanh(c + np.asarray(h))))
+        envelope = (_log_density(c, a, h) + slope * (t - c)
+                    - 0.5 * kappa * (t - c) ** 2)
+        gap = _log_density(t, a, h) - envelope
+        terms = _log_acceptance(c + np.asarray(h), t - c)
+        tol = 1e-9 * (1.0 + abs(envelope) + abs(c * c / a) + abs(t * t / a))
+        assert gap <= tol
+        assert np.all(terms <= 1e-12)
+        assert abs(terms.sum() - gap) <= tol
+
+    def test_extreme_field_tilts_its_block(self):
+        # h_0 = 8e307 fixes sigma_0 = +1, so sigma_1 follows
+        # tanh(a + h_1): a field that large must still tilt t_0's law
+        beta, h1 = 0.7, 0.3
+        model = IsingModel(InteractionMatrix.curie_weiss(2),
+                           np.array([8e307, h1]), beta)
+        states = gibbs_sample(model, 40_000, seed=10)
+        assert np.all(states[:, 0] == 1)
+        want = math.tanh(beta / 2 + h1)
+        se = math.sqrt((1 - want ** 2) / len(states))
+        assert abs(states[:, 1].mean() - want) <= 4.5 * se
+
+    def test_non_finite_acceptance_ratio_raises(self, monkeypatch):
+        monkeypatch.setattr(ising, "_log_acceptance",
+                            lambda x, delta: np.full_like(x, np.nan))
+        model = IsingModel(InteractionMatrix.curie_weiss(6), np.zeros(6), 0.5)
+        with pytest.raises(NumericalFailure, match="not finite"):
+            gibbs_sample(model, 3)
+
+
 class TestBatchedChains:
     """The sweep kernels on (n, m) spins run m independent chains."""
 
@@ -208,7 +363,7 @@ class TestGibbsMatchesReference:
         self._check(kind, run, 0.8)
 
     # on block matrices beta > 0 and beta = 0 run the auxiliary-Gaussian
-    # sweep, beta < 0 the single-site one
+    # kernel, beta < 0 the single-site one
     @pytest.mark.parametrize("kind", ["block_r1", "block_r4"])
     @pytest.mark.parametrize("run", ["single", "initial", "thinned"])
     @pytest.mark.parametrize("beta", [0.0, -0.8])
@@ -227,13 +382,18 @@ class TestGibbsMatchesReference:
             "thinned": dict(count=4, burn_in=5, thin=3),
         }[run]
         want = reference_gibbs_sample(model, seed=7, **kwargs)
-        if run == "initial":
-            # gibbs_sample draws its start; the kernel runs from any state
-            spins = kwargs["initial"].astype(float)
-            got = _run_chain(_sweeper(model, spins, np.random.default_rng(7)),
-                             spins, 1, 3, 1, np.int8)
-        else:
+        if run != "initial" and _exact_coupling(model) is None:
             got = gibbs_sample(model, seed=7, **kwargs)
+        else:
+            # gibbs_sample draws its own start, and draws models it can
+            # draw exactly with no sweep; the kernel runs from the given
+            # start, or from the one a chain would draw
+            rng = np.random.default_rng(7)
+            spins = (kwargs["initial"].astype(float) if run == "initial"
+                     else (rng.integers(0, 2, size=A.n) * 2 - 1).astype(float))
+            got = _run_chain(_sweeper(model, spins, rng), spins,
+                             kwargs["count"], kwargs["burn_in"],
+                             kwargs.get("thin", 5), np.int8)
         assert got.tobytes() == want.tobytes()
 
 
@@ -374,6 +534,15 @@ class TestSweepStationarity:
 
 
 class TestSpinSerialization:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (1, 1), (3, 1), (1, 9),
+                                       (4, 1000)])
+    def test_bytes_match_savetxt(self, shape):
+        states = np.where(np.random.default_rng(12).random(shape) < 0.5, 1,
+                          -1).astype(np.int8)
+        buf = io.StringIO()
+        np.savetxt(buf, np.atleast_2d(states), fmt="%d", delimiter=",")
+        assert serialize_spins(states) == buf.getvalue()
+
     def test_roundtrip(self):
         states = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
         text = serialize_spins(states)

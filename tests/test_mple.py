@@ -456,12 +456,13 @@ class TestNewton:
         res = fit(prob)
         assert not newton
         theta = [float.fromhex(v) for v in (
-            "-0x1.25fdb3cbc9148p-4", "0x0.0p+0", "-0x1.d3678c8081dc0p-3",
-            "-0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0")]
-        assert res.objective_value.hex() == "0x1.36123dca18672p+8"
-        assert res.beta_hat.hex() == "0x1.afe755e33f02ep-3"
-        assert (res.iterations, res.stop_reason) == (157, "no_descent")
-        assert res.final_projected_grad_norm == 0.15504875860040251
+            "-0x1.97ab7f928f830p-4", "0x0.0p+0", "-0x1.7bedd98ddd7d4p-3",
+            "-0x0.0p+0", "-0x0.0p+0", "-0x1.ea2cd0f412880p-7", "-0x0.0p+0",
+            "-0x0.0p+0")]
+        assert res.objective_value.hex() == "0x1.33702dee8a154p+8"
+        assert res.beta_hat.hex() == "0x1.d86212d090021p-6"
+        assert (res.iterations, res.stop_reason) == (197, "no_descent")
+        assert res.final_projected_grad_norm == 0.11962208845473354
         assert res.theta_hat["theta"].tobytes() == np.array(theta).tobytes()
 
     @pytest.mark.parametrize("model", [
