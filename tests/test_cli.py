@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import shutil
@@ -624,3 +625,49 @@ class TestConsoleScript:
                    "--block-r", "2"], capture_output=True, text=True, env=env)
         assert out.returncode == 0
         assert "lecam_floor" in out.stdout
+
+
+# Allocates and frees a 16 MiB array, then reports how much a second one
+# adds to glibc's mapped bytes and to its main heap.  A sliding mmap
+# threshold rises to the freed block's size and puts the second array on
+# the heap.
+_HEAP_PROBE = """
+import contextlib, ctypes, io, sys
+import numpy as np
+from isingreg import cli
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(f, ctypes.c_size_t) for f in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = Mallinfo2
+if sys.argv[1] == "main":
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--help"])
+np.ones(1 << 21)
+before = libc.mallinfo2()
+kept = np.ones(1 << 21)
+after = libc.mallinfo2()
+print(after.hblkhd - before.hblkhd, after.arena - before.arena)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                    reason="needs glibc's mallinfo2")
+@pytest.mark.parametrize("mode", ["plain", "main"])
+def test_main_keeps_large_arrays_off_the_heap(mode):
+    src = str(Path(isingreg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _HEAP_PROBE, mode],
+                         capture_output=True, text=True, env=env, check=True)
+    mapped, heap = map(int, out.stdout.split())
+    half = 4 << 21  # half the array's 16 MiB
+    if mode == "plain":
+        # the probe sees the sliding threshold that main() pins
+        assert heap > half and mapped < half
+    else:
+        assert mapped > half and heap < half
