@@ -6,9 +6,9 @@ enumeration, and verifies that one Gibbs sweep leaves the exact
 distribution unchanged.  On this block matrix at beta = 0.5,
 ``gibbs_sample`` returns independent exact draws (one rejection step per
 block's auxiliary Gaussian) and runs no sweep.  The sweep checked here is
-the auxiliary-Gaussian two-step update, which it runs on block models at
-beta above 1 - 1e-6; its exact kernel integrates the block Gaussians out
-by Gauss-Hermite quadrature.
+the single-site scan over sites 0..n-1, which it runs on block models at
+beta above 1 - 1e-6 or below 0; its exact kernel takes the sites one at
+a time.
 """
 
 import numpy as np

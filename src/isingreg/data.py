@@ -407,8 +407,8 @@ def load_citation(nodes_path, edges_path, splits_path=None):
     ``from_weighted_edges``, as for every other edge file: it is divided by
     its largest absolute row sum, the maximum degree for unweighted edges.
     Malformed rows (non-finite features and weights included), duplicate
-    node ids, dangling edge endpoints, and overlapping splits each raise
-    their own error type.
+    node ids, dangling edge endpoints, and splits that overlap or are not
+    a JSON object of integer arrays each raise their own error type.
     """
     nodes_path, edges_path = Path(nodes_path), Path(edges_path)
     cols, ids, y, X, numbers = (_scan_nodes(nodes_path.read_bytes())
@@ -446,7 +446,19 @@ def load_citation(nodes_path, edges_path, splits_path=None):
     if splits_path is not None:
         with Path(splits_path).open() as fh:
             doc = json.load(fh)
-        splits = {k: np.array(v, dtype=np.int64) for k, v in doc.items()}
+        if not isinstance(doc, dict):
+            raise SplitError("the splits file is not a JSON object of splits")
+        for name, idx in doc.items():
+            # bool is an int subclass; 1.5 would truncate to node 1
+            if not (isinstance(idx, list)
+                    and all(type(i) is int for i in idx)):
+                raise SplitError(f"split {name!r} is not an array of "
+                                 "integer node ids")
+            try:
+                splits[name] = np.array(idx, dtype=np.int64)
+            except OverflowError:
+                raise SplitError(f"split {name!r} references nodes outside "
+                                 f"0..{n - 1}") from None
         validate_splits(splits, n)
     return Dataset(X=X, labels=y, A=A, splits=splits, edges=edges)
 

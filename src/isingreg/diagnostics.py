@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .ising import _run_chain, _sweeper, exact_summary
+from .ising import (_exact_block_draws, _exact_coupling, _run_chain, _sweeper,
+                    exact_summary)
 from .models import dense_design
 
 
@@ -281,10 +282,13 @@ class TailReport:
 def exchangeable_pairs_test(model, v, samples, seed=0, burn_in=100):
     """Monte-Carlo check of the mean-field-residual tail bound.
 
-    Runs ``samples`` independent Gibbs chains from uniform starts, takes
-    each one's state after ``burn_in`` sweeps, computes f(sigma) = sum_i
-    v_i (sigma_i - tanh(beta (A sigma)_i + h_i)) with the off-diagonal
-    local field, and compares the empirical exceedance P[|f| > t] against
+    On a block model that :func:`~isingreg.ising.gibbs_sample` draws
+    exactly, takes ``samples`` independent exact draws (``burn_in`` is
+    checked but not used); elsewhere runs ``samples`` independent Gibbs
+    chains from uniform starts and takes each one's state after
+    ``burn_in`` sweeps.  Computes f(sigma) = sum_i v_i (sigma_i -
+    tanh(beta (A sigma)_i + h_i)) with the off-diagonal local field of
+    each state, and compares the empirical exceedance P[|f| > t] against
 
         2 exp( -t^2 / (8 ||v||^2 (1 + |beta| ||A||_inf)) )
 
@@ -301,11 +305,17 @@ def exchangeable_pairs_test(model, v, samples, seed=0, burn_in=100):
         raise ValueError("v must be nonzero")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
     rng = np.random.default_rng(seed)
-    spins = rng.integers(0, 2, size=(model.n, samples)) * 2.0 - 1.0
-    # one state per chain, so no thinning
-    states = _run_chain(_sweeper(model, spins, rng), spins, 1, burn_in, 1,
-                        float)[0]
+    a = _exact_coupling(model)
+    if a is not None:
+        states = _exact_block_draws(model, a, samples, rng).T.astype(float)
+    else:
+        spins = rng.integers(0, 2, size=(model.n, samples)) * 2.0 - 1.0
+        # one state per chain, so no thinning
+        states = _run_chain(_sweeper(model, spins, rng), spins, 1, burn_in,
+                            1, float)[0]
     local = model.A.local_field(states)
     resid = states - np.tanh(model.beta * local + model.h[:, None])
     f = resid.T @ v

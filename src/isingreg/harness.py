@@ -71,8 +71,8 @@ class ExperimentTable:
     @staticmethod
     def from_csv(text):
         """Parse :meth:`to_csv` output.  An empty text, another header, or
-        a row that is not six fields with a JSON config, an integer trial
-        and seed and a numeric value raises ``ValueError`` naming its
+        a row that is not six fields with a JSON object config, an integer
+        trial and seed and a numeric value raises ``ValueError`` naming its
         line."""
         table = ExperimentTable()
         reader = csv.reader(io.StringIO(text))
@@ -81,7 +81,8 @@ class ExperimentTable:
                 raise ValueError(f"the header is not {','.join(CSV_COLUMNS)}")
             for row in reader:
                 experiment, config, trial, seed, metric, value = row
-                json.loads(config)
+                if not isinstance(json.loads(config), dict):
+                    raise ValueError(f"config {config} is not a JSON object")
                 table.rows.append({
                     "experiment": experiment,
                     "config": config,

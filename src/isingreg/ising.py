@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.polynomial.hermite_e import hermegauss
 
 from .errors import EnumerationCapError, NumericalFailure
 from .interaction import InteractionMatrix
@@ -31,8 +30,6 @@ ENUMERATION_CAP = 20
 _ENUMERATION_CHUNK = 2 ** 16
 DEFAULT_BURN_IN = 50
 DEFAULT_THIN = 5
-# Gauss-Hermite nodes per block Gaussian in sweep_distribution
-_HERMITE_NODES = 80
 # Newton steps toward each block's mode before the exact draw
 _NEWTON_STEPS = 4
 # the largest a * n_b drawn exactly: near 1 a block takes about
@@ -214,21 +211,14 @@ def _run_chain(run_sweep, state, count, burn_in, thin, dtype):
     return out
 
 
-def _gaussian_coupling(model):
-    """a = beta * v on a block matrix of value v when a >= 0, where
-    :func:`_sweeper` runs the auxiliary-Gaussian sweep; else None."""
-    if model.A._block_labels is None:
-        return None
-    a = model.beta * model.A._block_value
-    return a if a >= 0 else None
-
-
 def _exact_coupling(model):
     """a where :func:`gibbs_sample` draws exactly: on a block matrix with
     a = beta * v >= 0 and a times the largest block size at most
     :data:`_EXACT_COUPLING_CAP`; else None."""
-    a = _gaussian_coupling(model)
-    if a is None or a * model.A._block_sizes.max() > _EXACT_COUPLING_CAP:
+    if model.A._block_labels is None:
+        return None
+    a = model.beta * model.A._block_value
+    if a < 0 or a * model.A._block_sizes.max() > _EXACT_COUPLING_CAP:
         return None
     return a
 
@@ -294,14 +284,14 @@ def _exact_block_draws(model, a, count, rng):
 def _sweeper(model, spins, rng):
     """One Gibbs sweep of ``model``, as a function that updates ``spins``
     in place: float +/-1 of shape (n,) for one chain or (n, m) for m
-    independent chains, one per column.  Each sweep draws its normals and
-    uniforms in the state's shape, so one chain draws what
-    :func:`gibbs_sample` documents."""
+    independent chains, one per column.  Each sweep draws its uniforms in
+    the state's shape, so one chain draws what :func:`gibbs_sample`
+    documents."""
     A, beta, n = model.A, model.beta, model.n
-    h = model.h.reshape((n,) + (1,) * (spins.ndim - 1))
     labels = A._block_labels
     if labels is None:
         classes = _colour_classes(A)
+        h = model.h.reshape((n,) + (1,) * (spins.ndim - 1))
 
         def run_sweep():
             u = rng.random(spins.shape)
@@ -313,17 +303,6 @@ def _sweeper(model, spins, rng):
         return run_sweep
 
     nblocks, m = len(A._block_sizes), spins.size // n
-    shape = (nblocks,) + spins.shape[1:]
-    a = _gaussian_coupling(model)
-    if a is not None:
-        sd = math.sqrt(a)
-
-        def run_sweep():
-            t = a * A._block_sums(spins) + sd * rng.standard_normal(shape)
-            p_plus = 0.5 * (1.0 + np.tanh(t[labels] + h))
-            spins[...] = np.where(rng.random(spins.shape) < p_plus, 1.0, -1.0)
-        return run_sweep
-
     # Python scalars, one chain at a time: per-site numpy indexing and 0-d
     # ufunc calls cost several times the arithmetic they do
     hl, ll, value = model.h.tolist(), labels.tolist(), A._block_value
@@ -380,33 +359,18 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
     non-finite acceptance ratio raises ``NumericalFailure``.
 
     Everywhere else the states are a Markov chain, ``thin`` sweeps apart
-    after ``burn_in`` sweeps, from an initial state drawn first.  On a
-    block matrix with a >= 0 (and some a * n_b above the cap) a sweep is
-    the auxiliary-Gaussian (Hubbard-Stratonovich) two-step update:
+    after ``burn_in`` sweeps, from an initial state drawn first.  A sweep
+    visits every site once, in the order of :func:`scan_order`, and sets
+    it to +1 with probability (1 + tanh(beta * local_field_i + h_i)) / 2,
+    the k-th site in scan order against the k-th of the sweep's
+    ``rng.random(n)``.  On a block matrix that order is 0..n-1.  On a CSR
+    matrix it goes one colour class of the off-diagonal graph at a time,
+    as the Potts sampler does; since no two sites of a class interact,
+    resampling a class at once is the same as visiting its sites one by
+    one.
 
-    1. t_b ~ N(a * S_b, a) for every block, from one
-       ``rng.standard_normal(n_blocks)``, t_b = a * S_b + sqrt(a) * z_b;
-    2. every spin at once: sigma_i = +1 with probability
-       (1 + tanh(t_b(i) + h_i)) / 2, against the i-th of one
-       ``rng.random(n)``.
-
-    Otherwise a sweep visits every site once, in the order of
-    :func:`scan_order`, and sets it to +1 with probability
-    (1 + tanh(beta * local_field_i + h_i)) / 2, the k-th site in scan
-    order against the k-th of the sweep's ``rng.random(n)``.  That is
-    0..n-1 on a block matrix with a < 0, where no real Gaussian exists.
-    On a CSR matrix it goes one colour class of the off-diagonal graph at
-    a time, as the Potts sampler does; since no two sites of a class
-    interact, resampling a class at once is the same as visiting its
-    sites one by one.
-
-    Cost: an exact draw and a two-step sweep are each O(n) numpy with no
-    Python loop over sites.  The two-step sweep mixes more slowly per
-    sweep than a single-site scan: at n=10 and h=0 the second-largest
-    eigenvalue modulus of the exact one-sweep kernel is 0.46 against
-    0.22 for Curie-Weiss at beta=0.5, and 0.86 against 0.58 for 5 blocks
-    at beta=2.
-    On a block matrix with a < 0 a site visit is O(1) Python steps on
+    Cost: an exact draw is O(n) numpy with no Python loop over sites.  On
+    a block matrix a site visit of the chain is O(1) Python steps on
     scalars, with one running sum per block.  On a CSR matrix a colour
     class is one numpy step: the product of its off-diagonal rows with
     the spins, one ``np.tanh``, one comparison and one write-back, so a
@@ -425,12 +389,8 @@ def gibbs_sample(model, count, burn_in=DEFAULT_BURN_IN, thin=DEFAULT_THIN,
 
 def sweep_distribution(model, probs):
     """Push a distribution over all 2^n states through one sweep of
-    :func:`_sweeper`, exactly.  Used to verify stationarity at small n.
-
-    Where :func:`_sweeper` runs the auxiliary-Gaussian sweep, each
-    block's Gaussian is integrated out by Gauss-Hermite quadrature, one
-    block at a time; elsewhere the sites are visited in
-    :func:`scan_order`."""
+    :func:`_sweeper`, exactly, visiting the sites one at a time in
+    :func:`scan_order`.  Used to verify stationarity at small n."""
     n = model.n
     if n > 14:
         raise EnumerationCapError("dense sweep kernel capped at n=14")
@@ -440,29 +400,6 @@ def sweep_distribution(model, probs):
     spins = spin_table(n, 0, 2 ** n)
     p = probs.copy()
     idx = np.arange(2 ** n, dtype=np.int64)
-    a = _gaussian_coupling(model)
-    if a is not None:
-        nodes, weights = hermegauss(_HERMITE_NODES)
-        weights = weights / weights.sum()
-        labels = model.A._block_labels
-        for b in range(len(model.A._block_sizes)):
-            sites = np.flatnonzero(labels == b)
-            m = len(sites)
-            # t_b at every node, given c of the block's spins are +1
-            t = a * (2.0 * np.arange(m + 1) - m)[:, None] + math.sqrt(a) * nodes
-            # law of the block's new spins, bit j for sites[j], given c
-            law = np.ones(t.shape + (1,))
-            for i in sites.tolist():
-                plus = 0.5 * (1.0 + np.tanh(t + model.h[i]))[..., None]
-                law = np.concatenate([law * (1.0 - plus), law * plus], axis=-1)
-            law = weights @ law
-            c = (spins[:, sites] > 0).sum(axis=1)
-            pattern = ((idx[:, None] >> sites) & 1) @ (1 << np.arange(m))
-            rest = idx & ~int(np.sum(1 << sites))
-            pooled = np.zeros((2 ** n, m + 1))
-            np.add.at(pooled, (rest, c), p)
-            p = np.einsum("sc,cs->s", pooled[rest], law[:, pattern])
-        return p
     a_off = model.A.dense()
     np.fill_diagonal(a_off, 0.0)
     for i in scan_order(model.A)[0].tolist():

@@ -91,14 +91,10 @@ def reference_gibbs_sample(model, count, burn_in=50, thin=5, seed=0,
                            initial=None):
     """Reference for ``gibbs_sample``, one scalar draw per ``rng`` call.
 
-    On a block matrix of value v with a = beta * v >= 0 a sweep goes
-    block by block, drawing t_b ~ N(a * S_b, a) from block b's spin sum
-    S_b, then site by site, setting sigma_i to +1 with probability
-    (1 + tanh(t_b(i) + h_i)) / 2.  Otherwise it visits the sites in scan
-    order, one at a time.  ``gibbs_sample`` draws each sweep's normals and
-    uniforms at once, runs the other block matrices on Python scalars and
-    updates each colour class of a CSR matrix at once, and must produce
-    the same bytes.
+    A sweep visits the sites in scan order, one at a time.
+    ``gibbs_sample`` draws each sweep's uniforms at once, runs block
+    matrices on Python scalars and updates each colour class of a CSR
+    matrix at once, and must produce the same bytes.
     """
     n = model.n
     rng = np.random.default_rng(seed)
@@ -112,22 +108,7 @@ def reference_gibbs_sample(model, count, burn_in=50, thin=5, seed=0,
     out = np.empty((count, n), dtype=np.int8)
     labels = model.A._block_labels
 
-    if labels is not None and beta * model.A._block_value >= 0:
-        a = beta * model.A._block_value
-        nblocks = len(model.A._block_sizes)
-
-        def run_sweep():
-            t = np.empty(nblocks)
-            for b in range(nblocks):
-                block_sum = 0
-                for i in range(n):
-                    if labels[i] == b:
-                        block_sum += sigma[i]
-                t[b] = a * block_sum + np.sqrt(a) * rng.standard_normal()
-            for i in range(n):
-                p_plus = 0.5 * (1.0 + np.tanh(t[labels[i]] + h[i]))
-                sigma[i] = 1 if rng.random() < p_plus else -1
-    elif labels is not None:
+    if labels is not None:
         value = model.A._block_value
         nblocks = len(model.A._block_sizes)
         block_sum = np.bincount(labels, weights=sigma, minlength=nblocks)

@@ -321,7 +321,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, line", [
         ("", 1),
         ("experiment,config,trial,seed,metric,value\nexp,{},0,7\n", 2),
-    ], ids=["empty", "short_row"])
+        ("experiment,config,trial,seed,metric,value\nexp,3,0,7,err,0.5\n", 2),
+    ], ids=["empty", "short_row", "config_not_object"])
     def test_bad_table_is_config_error(self, tmp_path, capsys, text, line):
         table = tmp_path / "t.csv"
         table.write_text(text)
@@ -501,6 +502,17 @@ class TestExitCodes:
                         "--splits", splits, "--benchmark-seeds", "1",
                         "--model-kind", "linear"]) == 2
         assert "split 'train' repeats a node" in capsys.readouterr().err
+        assert not (tmp_path / "benchmark.csv").exists()
+
+    def test_benchmark_splits_not_an_object(self, tmp_path, capsys):
+        splits = tmp_path / "splits.json"
+        splits.write_text(json.dumps([[0, 1, 2, 3, 4, 5], [6, 7, 8], [9]]))
+        assert run_cli(["--out-dir", tmp_path, "benchmark",
+                        "--nodes", FIXTURES / "toy_nodes.csv",
+                        "--edges", FIXTURES / "toy_edges.txt",
+                        "--splits", splits, "--benchmark-seeds", "1",
+                        "--model-kind", "linear"]) == 2
+        assert "not a JSON object of splits" in capsys.readouterr().err
         assert not (tmp_path / "benchmark.csv").exists()
 
     @pytest.mark.parametrize("splits, message", [

@@ -281,6 +281,26 @@ class TestCitationFormat:
             load_citation(nodes, tmp_path / "edges.txt",
                           tmp_path / "splits.json")
 
+    @pytest.mark.parametrize("doc, message", [
+        ('[[0, 1], [2]]', "^the splits file is not a JSON object of splits$"),
+        ('{"train": [0, 1], "test": "2"}',
+         "^split 'test' is not an array of integer node ids$"),
+        ('{"train": [0, 1.5], "test": [2]}',
+         "^split 'train' is not an array of integer node ids$"),
+        ('{"train": [0, 1], "test": [true]}',
+         "^split 'test' is not an array of integer node ids$"),
+        ('{"train": [0, 1], "test": [99999999999999999999]}',
+         "^split 'test' references nodes outside 0..2$"),
+    ], ids=["list", "string", "float", "bool", "beyond_int64"])
+    def test_splits_must_be_integer_arrays(self, tmp_path, doc, message):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("id,label,f1\n0,0,1.0\n1,1,2.0\n2,0,0.5\n")
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n")
+        (tmp_path / "splits.json").write_text(doc)
+        with pytest.raises(SplitError, match=message):
+            load_citation(nodes, tmp_path / "edges.txt",
+                          tmp_path / "splits.json")
+
     def test_repeated_index_in_one_split_rejected(self):
         with pytest.raises(SplitError, match="^split 'train' repeats a node$"):
             validate_splits({"train": [0, 0, 1], "test": [3]}, 6)

@@ -13,6 +13,7 @@ from isingreg import (InteractionMatrix, IsingModel, c1_prime_estimate,
                       kl_tv_exact, psi)
 from isingreg.errors import EnumerationCapError
 from isingreg.harness import solve_mean_field_fixpoint
+from isingreg.ising import _exact_block_draws, _exact_coupling
 
 from helpers import random_model, random_symmetric_matrix
 
@@ -436,6 +437,24 @@ class TestExchangeablePairs:
         assert rep.all_below_bound
         assert abs(rep.mean) <= 4.0 * rep.std_error
         assert rep.bound.shape == rep.t_grid.shape
+
+    def test_block_models_take_exact_draws(self):
+        n = 12
+        m = IsingModel(InteractionMatrix.block_partition(n, 3),
+                       np.linspace(-1.0, 1.0, n), 0.6)
+        v = np.random.default_rng(8).normal(size=n)
+        rep = exchangeable_pairs_test(m, v, 500, seed=4)
+        states = _exact_block_draws(m, _exact_coupling(m), 500,
+                                    np.random.default_rng(4)).T.astype(float)
+        f = (states - np.tanh(m.beta * m.A.local_field(states)
+                              + m.h[:, None])).T @ v
+        assert rep.mean == float(f.mean())
+        assert rep.std_error == float(f.std(ddof=1) / np.sqrt(500))
+        np.testing.assert_array_equal(
+            rep.empirical_exceedance,
+            [(np.abs(f) > t).mean() for t in rep.t_grid])
+        with pytest.raises(ValueError, match="burn_in"):
+            exchangeable_pairs_test(m, v, 500, seed=4, burn_in=-1)
 
     def test_mean_zero_against_enumeration(self):
         # E f(sigma) = 0 exactly under the model

@@ -47,7 +47,10 @@ class TestExperimentTable:
         (",".join(CSV_COLUMNS) + "\nexp,{},0,7,err,0.5\nexp,{},x,7,err,1\n",
          3),
         (",".join(CSV_COLUMNS) + '\nexp,"{bad",0,7,err,0.5\n', 2),
-    ], ids=["empty", "bad_header", "short_row", "bad_trial", "bad_config"])
+        (",".join(CSV_COLUMNS) + "\nexp,{},0,7,err,0.5\nexp,3,0,7,err,1\n",
+         3),
+    ], ids=["empty", "bad_header", "short_row", "bad_trial", "bad_config",
+            "config_not_object"])
     def test_from_csv_names_the_bad_line(self, text, line):
         with pytest.raises(ValueError, match=f"^line {line}: "):
             ExperimentTable.from_csv(text)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 from scipy.stats import chi2
 
 from isingreg import (InteractionMatrix, IsingModel, conditional_mean,
@@ -170,7 +169,7 @@ class TestGibbs:
         blocks = InteractionMatrix.block_partition(n, 3)
         dense = InteractionMatrix.from_dense(blocks.dense())
         h = np.linspace(-0.5, 0.5, n)
-        # beta < 0 runs the block sampler's single-site loop
+        # beta = 0.4 draws exactly, beta < 0 runs the single-site loop
         for beta in (0.4, -0.9):
             m_b = IsingModel(blocks, h, beta)
             m_d = IsingModel(dense, h, beta)
@@ -324,10 +323,9 @@ class TestExactBlockDraws:
 class TestBatchedChains:
     """The sweep kernels on (n, m) spins run m independent chains."""
 
-    # beta > 0 on a block matrix runs the auxiliary-Gaussian kernel,
-    # beta < 0 the scalar one; dense_complete runs the colour-class kernel
-    @pytest.mark.parametrize("kind", ["dense_complete", "block_r4"])
-    @pytest.mark.parametrize("beta", [0.8, -0.8])
+    # block_r4 runs the scalar kernel, dense_complete the colour-class one
+    @pytest.mark.parametrize("beta,kind", [
+        (0.8, "dense_complete"), (-0.8, "dense_complete"), (-0.8, "block_r4")])
     def test_chain_ends_are_independent_model_draws(self, kind, beta):
         rng = np.random.default_rng(33)
         A = REFERENCE_MATRICES[kind](rng)
@@ -362,8 +360,7 @@ class TestGibbsMatchesReference:
     def test_byte_identical(self, kind, run):
         self._check(kind, run, 0.8)
 
-    # on block matrices beta > 0 and beta = 0 run the auxiliary-Gaussian
-    # kernel, beta < 0 the single-site one
+    # block matrices at every sign of beta run the one scalar kernel
     @pytest.mark.parametrize("kind", ["block_r1", "block_r4"])
     @pytest.mark.parametrize("run", ["single", "initial", "thinned"])
     @pytest.mark.parametrize("beta", [0.0, -0.8])
@@ -452,6 +449,29 @@ class TestScanOrder:
         assert bounds.tolist() == list(range(size * r + 1))
 
 
+def _check_sweep_row(model, start, order):
+    """``sweep_distribution`` from the one state ``start`` against the
+    product, over the sites in ``order``, of each visit's heat-bath
+    probability given the spins set so far."""
+    n = model.n
+    a = model.A.dense()
+    np.fill_diagonal(a, 0.0)
+    p = np.zeros(2 ** n)
+    p[start] = 1.0
+    want = np.empty(2 ** n)
+    for end in range(2 ** n):
+        state = (((start >> np.arange(n)) & 1) * 2 - 1).astype(float)
+        prob = 1.0
+        for i in order:
+            plus = 0.5 * (1.0 + np.tanh(model.beta * (a[i] @ state)
+                                        + model.h[i]))
+            state[i] = 1.0 if (end >> i) & 1 else -1.0
+            prob *= plus if state[i] > 0 else 1.0 - plus
+        want[end] = prob
+    np.testing.assert_allclose(sweep_distribution(model, p), want,
+                               rtol=1e-12, atol=0)
+
+
 class TestSweepStationarity:
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_distribution_is_invariant(self, seed):
@@ -471,33 +491,6 @@ class TestSweepStationarity:
         after = sweep_distribution(model, table)
         assert np.max(np.abs(after - table)) <= 1e-10
 
-    def test_one_block_sweep_integrates_the_gaussian_out(self):
-        # two blocks of two sites: the row of the two-step kernel, one
-        # Gaussian integral per block by adaptive quadrature
-        n = 4
-        A = InteractionMatrix.block_partition(n, 2)
-        model = IsingModel(A, np.array([0.3, -0.5, 0.1, 0.7]), 1.5)
-        a = model.beta * A._block_value
-        start = 0b0111
-        p = np.zeros(2 ** n)
-        p[start] = 1.0
-        sigma = ((start >> np.arange(n)) & 1) * 2 - 1
-        want = np.ones(2 ** n)
-        for end in range(2 ** n):
-            new = ((end >> np.arange(n)) & 1) * 2 - 1
-            for sites in ([0, 1], [2, 3]):
-                mean, sd = a * sigma[sites].sum(), np.sqrt(a)
-
-                def density(t, sites=sites, mean=mean, sd=sd):
-                    prob = math.exp(-0.5 * ((t - mean) / sd) ** 2)
-                    for i in sites:
-                        prob *= 0.5 * (1.0 + new[i] * math.tanh(t + model.h[i]))
-                    return prob / (sd * math.sqrt(2 * math.pi))
-                want[end] *= quad(density, mean - 12 * sd, mean + 12 * sd,
-                                  epsabs=0, epsrel=1e-12)[0]
-        np.testing.assert_allclose(sweep_distribution(model, p), want,
-                                   rtol=1e-9, atol=0)
-
     def test_one_sweep_visits_sites_in_scan_order(self):
         # a path 0-1-2-3-4: the scan order 0, 2, 4, 1, 3 is not 0..n-1
         n = 5
@@ -506,22 +499,14 @@ class TestSweepStationarity:
         model = IsingModel(A, np.linspace(-0.4, 0.6, n), 0.9)
         order = scan_order(A)[0].tolist()
         assert order == [0, 2, 4, 1, 3]
-        a = A.dense()
-        start = 0b10110
-        p = np.zeros(2 ** n)
-        p[start] = 1.0
-        want = np.empty(2 ** n)
-        for end in range(2 ** n):
-            state = (((start >> np.arange(n)) & 1) * 2 - 1).astype(float)
-            prob = 1.0
-            for i in order:
-                plus = 0.5 * (1.0 + np.tanh(model.beta * (a[i] @ state)
-                                            + model.h[i]))
-                state[i] = 1.0 if (end >> i) & 1 else -1.0
-                prob *= plus if state[i] > 0 else 1.0 - plus
-            want[end] = prob
-        np.testing.assert_allclose(sweep_distribution(model, p), want,
-                                   rtol=1e-12, atol=0)
+        _check_sweep_row(model, 0b10110, order)
+
+    def test_one_block_sweep_visits_sites_in_index_order(self):
+        # two blocks of two sites above the exact-draw cap
+        A = InteractionMatrix.block_partition(4, 2)
+        model = IsingModel(A, np.array([0.3, -0.5, 0.1, 0.7]), 1.5)
+        assert _exact_coupling(model) is None
+        _check_sweep_row(model, 0b0111, [0, 1, 2, 3])
 
     def test_sweep_moves_non_stationary_distribution(self):
         rng = np.random.default_rng(77)
